@@ -1,6 +1,13 @@
-// Operational entry point: exempt from the library panic-freedom floor
-// (mirrors the Exempt crate profile of `cargo xtask lint`).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
+// Operational entry point: exempt from the library panic-freedom,
+// console and determinism floor (DESIGN.md §7).
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_methods
+)]
 //! **A1 — ablation: the gain-memory feature and the γ sweep.**
 //!
 //! §3.3 distinguishes Flower's controller by "updating the gain

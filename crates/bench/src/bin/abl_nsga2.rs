@@ -1,6 +1,13 @@
-// Operational entry point: exempt from the library panic-freedom floor
-// (mirrors the Exempt crate profile of `cargo xtask lint`).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
+// Operational entry point: exempt from the library panic-freedom,
+// console and determinism floor (DESIGN.md §7).
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_methods
+)]
 //! **A3 — ablation: NSGA-II against naive plan-space search.**
 //!
 //! §3.2 chose NSGA-II "to efficiently search the provisioning plan

@@ -1,6 +1,12 @@
-// Operational entry point: exempt from the library panic-freedom floor
-// (mirrors the Exempt crate profile of `cargo xtask lint`).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
+// Operational entry point: exempt from the library panic-freedom,
+// console and determinism floor (DESIGN.md §7).
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 //! # flower-bench
 //!
 //! The experiment harness regenerating every figure of the Flower paper
@@ -22,6 +28,8 @@
 //! benchmark in `perfbench/`, not here.
 
 #![warn(clippy::all)]
+// Re-allowed after `warn(clippy::all)`, which would re-raise it.
+#![allow(clippy::disallowed_methods)]
 
 use flower_core::config::ControllerSpec;
 use flower_core::flow::{clickstream_flow, Layer};

@@ -1,6 +1,13 @@
-// Operational entry point: exempt from the library panic-freedom floor
-// (mirrors the Exempt crate profile of `cargo xtask lint`).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
+// Operational entry point: exempt from the library panic-freedom,
+// console and determinism floor (DESIGN.md §7).
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_methods
+)]
 //! `flower` — the command-line front end of the Flower reproduction.
 //!
 //! Mirrors the demo walkthrough of the paper's §4 as subcommands:

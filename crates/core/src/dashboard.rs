@@ -86,7 +86,7 @@ impl Panel {
         }
         let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        #[allow(clippy::expect_used)] // invariant stated in the expect message
+        #[expect(clippy::expect_used, reason = "invariant stated in the expect message")]
         let last = *values.last().expect("values verified non-empty above");
         let reference = self
             .reference

@@ -318,7 +318,7 @@ impl FlowBuilder {
 
 /// The paper's demo flow (Fig. 1): Kinesis → Storm → DynamoDB with small
 /// initial capacities.
-#[allow(clippy::expect_used)] // invariant stated in the expect message
+#[expect(clippy::expect_used, reason = "invariant stated in the expect message")]
 pub fn clickstream_flow() -> FlowSpec {
     FlowBuilder::new("clickstream-analytics")
         .ingestion(Platform::kinesis("clicks", 2))
@@ -331,7 +331,7 @@ pub fn clickstream_flow() -> FlowSpec {
 /// The demo flow extended with a fourth tier: a cache on the storage
 /// read path, proving the layer registry is open beyond the paper's
 /// three layers.
-#[allow(clippy::expect_used)] // invariant stated in the expect message
+#[expect(clippy::expect_used, reason = "invariant stated in the expect message")]
 pub fn cached_clickstream_flow() -> FlowSpec {
     FlowBuilder::new("clickstream-analytics-cached")
         .ingestion(Platform::kinesis("clicks", 2))

@@ -228,7 +228,10 @@ impl CrossPlatformMonitor {
 
     /// Take a consolidated snapshot over `[now − window, now)`. Metrics
     /// without datapoints in the window are omitted.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
+    #[expect(
+        clippy::expect_used,
+        reason = "invariants stated in the expect messages"
+    )]
     pub fn snapshot(
         &self,
         store: &MetricsStore,

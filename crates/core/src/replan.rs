@@ -48,7 +48,7 @@ pub enum PlanSelection {
 
 impl PlanSelection {
     /// Apply the policy to a non-empty plan list.
-    #[allow(clippy::expect_used)] // invariant stated in the expect message
+    #[expect(clippy::expect_used, reason = "invariant stated in the expect message")]
     pub fn pick<'a>(&self, plans: &'a [ResourceShares]) -> &'a ResourceShares {
         assert!(!plans.is_empty(), "cannot select from an empty plan list");
         let max_of = |layer: Layer| {

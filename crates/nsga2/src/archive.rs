@@ -18,6 +18,8 @@
 //! same solutions in the same order always yields the same archive —
 //! there is no RNG and no wall-clock anywhere in this module.
 
+use crate::individual::{domination_kernel, Domination};
+
 /// One archived solution: its genome and (finite) objective vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchiveEntry {
@@ -82,16 +84,6 @@ impl EpsilonArchive {
         self.entries.clear();
     }
 
-    /// The box index of an objective vector: `floor(obj / epsilon)`
-    /// per component. Non-finite components never reach here (such
-    /// candidates are rejected up front).
-    fn box_index(&self, objectives: &[f64]) -> Vec<f64> {
-        objectives
-            .iter()
-            .map(|o| (o / self.epsilon).floor())
-            .collect()
-    }
-
     /// Pareto-compare two box-index vectors (minimization).
     fn box_order(a: &[f64], b: &[f64]) -> BoxOrder {
         let mut a_better = false;
@@ -136,11 +128,13 @@ impl EpsilonArchive {
         if objectives.iter().any(|o| !o.is_finite()) {
             return false;
         }
-        let candidate_box = self.box_index(objectives);
+        let epsilon = self.epsilon;
+        let candidate_box = box_index(objectives, epsilon);
         // One scan classifying the candidate's box against every entry.
         let mut same_box: Option<usize> = None;
         for (i, entry) in self.entries.iter().enumerate() {
-            match EpsilonArchive::box_order(&candidate_box, &self.box_index(&entry.objectives)) {
+            match EpsilonArchive::box_order(&candidate_box, &box_index(&entry.objectives, epsilon))
+            {
                 BoxOrder::Dominated => return false,
                 BoxOrder::Same => same_box = Some(i),
                 BoxOrder::Dominates | BoxOrder::Incomparable => {}
@@ -151,11 +145,15 @@ impl EpsilonArchive {
             // dominates it or sits strictly closer to the box corner
             // (ties keep the incumbent — deterministic and stable).
             let incumbent = &self.entries[i];
-            let replaces = dominates(objectives, &incumbent.objectives) || {
-                let cand_d = self.corner_distance_sq(objectives, &candidate_box);
-                let inc_d = self.corner_distance_sq(&incumbent.objectives, &candidate_box);
-                cand_d < inc_d
-            };
+            // Objectives are finite and the archive holds no
+            // constraints, so the kernel's verdict is plain Pareto
+            // dominance.
+            let dominates =
+                domination_kernel(objectives, 0.0, false, &incumbent.objectives, 0.0, false)
+                    == Domination::Left;
+            let replaces = dominates
+                || self.corner_distance_sq(objectives, &candidate_box)
+                    < self.corner_distance_sq(&incumbent.objectives, &candidate_box);
             if replaces {
                 self.entries[i] = ArchiveEntry {
                     genes: genes.to_vec(),
@@ -167,14 +165,9 @@ impl EpsilonArchive {
         // New box: evict every entry whose box the candidate dominates,
         // then admit (capacity permitting).
         let before = self.entries.len();
-        let epsilon = self.epsilon;
         self.entries.retain(|entry| {
-            let entry_box: Vec<f64> = entry
-                .objectives
-                .iter()
-                .map(|o| (o / epsilon).floor())
-                .collect();
-            EpsilonArchive::box_order(&candidate_box, &entry_box) != BoxOrder::Dominates
+            EpsilonArchive::box_order(&candidate_box, &box_index(&entry.objectives, epsilon))
+                != BoxOrder::Dominates
         });
         if self.entries.len() >= self.capacity {
             // Full and nothing evicted: reject deterministically. The
@@ -192,18 +185,11 @@ impl EpsilonArchive {
     }
 }
 
-/// Plain Pareto domination on objective vectors (minimization).
-fn dominates(a: &[f64], b: &[f64]) -> bool {
-    let mut strictly = false;
-    for (x, y) in a.iter().zip(b) {
-        if x > y {
-            return false;
-        }
-        if x < y {
-            strictly = true;
-        }
-    }
-    strictly
+/// The box index of an objective vector: `floor(obj / epsilon)` per
+/// component. Non-finite components never reach here (such candidates
+/// are rejected up front).
+fn box_index(objectives: &[f64], epsilon: f64) -> Vec<f64> {
+    objectives.iter().map(|o| (o / epsilon).floor()).collect()
 }
 
 #[cfg(test)]

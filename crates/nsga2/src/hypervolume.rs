@@ -21,11 +21,14 @@
 /// must match the reference's dimension: mismatches are caught by a
 /// debug assertion in [`nondominated_filter`]; release-build behavior
 /// on a violated contract is unspecified (see the filter's docs).
+#[expect(
+    clippy::panic,
+    reason = "documented contract — the indicator is defined for 2 and 3 objectives only"
+)]
 pub fn hypervolume(front: &[Vec<f64>], reference: &[f64]) -> f64 {
     match *reference {
         [rx, ry] => hv2d(front, (rx, ry)),
         [rx, ry, rz] => hv3d(front, (rx, ry, rz)),
-        // lint:allow(panic-macro): documented contract — the indicator is defined for 2 and 3 objectives only
         _ => panic!(
             "hypervolume supports 2 or 3 objectives, got {}",
             reference.len()

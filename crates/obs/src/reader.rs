@@ -59,7 +59,7 @@ impl JsonValue {
     pub fn as_u64(&self) -> Option<u64> {
         const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
         match self {
-            // fract() of a finite f64 is exactly 0.0 iff it is an integer.
+            // lint:allow(float-eq-zero): fract() of a finite f64 is exactly 0.0 iff it is an integer
             JsonValue::Num(n) if (0.0..=MAX_EXACT).contains(n) && n.fract() == 0.0 => {
                 Some(*n as u64)
             }

@@ -75,8 +75,11 @@ impl Executor {
     /// Worker count from the environment: `FLOWER_THREADS` when set and
     /// parseable (clamped to ≥ 1), else the machine's available
     /// parallelism, else 1.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "thread count selects only the degree of fan-out — ordered collection keeps every result bit-identical for any value"
+    )]
     pub fn from_env() -> Executor {
-        // lint:allow(nondet-env): thread count selects only the degree of fan-out — ordered collection keeps every result bit-identical for any value
         let from_var = std::env::var("FLOWER_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok());

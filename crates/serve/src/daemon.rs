@@ -5,7 +5,8 @@
 //! - An **accept thread** owns the listener; each connection gets a
 //!   **reader thread** (lines → control channel) and a **writer
 //!   thread** (outbound frame channel → socket), so a slow client can
-//!   never stall the control loop.
+//!   never stall the control loop. A line longer than
+//!   `MAX_LINE_BYTES` (64 KiB) drops its client as if it had hung up.
 //! - The **control loop** (the calling thread) owns the
 //!   [`ElasticityManager`] outright. It advances the event-driven core
 //!   in 1-second `run_until` strides; between strides it drains the
@@ -25,7 +26,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::rc::Rc;
 use std::sync::mpsc;
@@ -96,6 +97,10 @@ impl EventSink for BufferSink {
         self.buffer.borrow_mut().push_back(event.clone());
     }
 }
+
+/// The longest client line the daemon reads, far above any client
+/// frame: a client that sends more bytes without a newline is dropped.
+const MAX_LINE_BYTES: u64 = 64 * 1024;
 
 enum ControlMsg {
     Connected { id: u64, tx: mpsc::Sender<String> },
@@ -437,9 +442,8 @@ fn spawn_client_threads(
     });
     // Reader: forward complete lines to the control loop.
     std::thread::spawn(move || {
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
+        let mut reader = BufReader::new(stream);
+        while let Some(line) = read_line_capped(&mut reader) {
             if line.trim().is_empty() {
                 continue;
             }
@@ -449,4 +453,47 @@ fn spawn_client_threads(
         }
         let _ = control_tx.send(ControlMsg::Disconnected { id });
     });
+}
+
+/// The next line without its `\n` or `\r\n`, as `BufRead::lines` yields
+/// it, reading at most [`MAX_LINE_BYTES`] of it. `None` at end of
+/// stream, on a read error, on invalid UTF-8 and on an over-long line.
+fn read_line_capped(reader: &mut impl BufRead) -> Option<String> {
+    let mut buf = Vec::new();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES + 1)
+        .read_until(b'\n', &mut buf)
+        .ok()?;
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if n == 0 || n as u64 > MAX_LINE_BYTES {
+        return None;
+    }
+    String::from_utf8(buf).ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn capped_lines_match_lines_and_stop_at_the_cap() {
+        let mut input: &[u8] = b"a\r\nb\n\nlast";
+        let lines: Vec<String> = std::iter::from_fn(|| read_line_capped(&mut input)).collect();
+        assert_eq!(lines, ["a", "b", "", "last"]);
+
+        let cap = usize::try_from(MAX_LINE_BYTES).unwrap();
+        let at_cap = [vec![b'x'; cap], b"\nnext\n".to_vec()].concat();
+        let mut input = &at_cap[..];
+        assert_eq!(read_line_capped(&mut input).map(|l| l.len()), Some(cap));
+        assert_eq!(read_line_capped(&mut input).as_deref(), Some("next"));
+
+        let over_cap = [vec![b'x'; cap + 1], b"\nnext\n".to_vec()].concat();
+        assert_eq!(read_line_capped(&mut &over_cap[..]), None);
+        assert_eq!(read_line_capped(&mut &b"\xff\n"[..]), None);
+    }
 }

@@ -7,13 +7,16 @@
 //! `flower-obs` event the moment it is recorded, applies live commands
 //! at tick boundaries, and records the applied command stream
 //! (`flower-record/v1`) so any live session [`replay`]s to a
-//! byte-identical trace. The determinism lint (`cargo xtask lint`)
-//! forbids the deterministic crates from depending on this one.
+//! byte-identical trace. `cargo xtask lint`'s `crate-layering` rule
+//! forbids the deterministic crates from depending on this one, and this
+//! crate alone re-allows the `clippy.toml` determinism bans: the daemon
+//! paces streaming on the wall clock.
 
 #![cfg_attr(
     test,
     allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)
 )]
+#![allow(clippy::disallowed_methods)]
 #![deny(missing_docs)]
 
 pub mod daemon;

@@ -48,6 +48,8 @@
 #![warn(clippy::all)]
 
 pub mod conf;
+#[cfg(clippy)]
+mod lint_floor;
 pub mod rng;
 pub mod scheduler;
 pub mod testkit;

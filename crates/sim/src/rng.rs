@@ -156,7 +156,7 @@ impl SimRng {
             lambda >= 0.0 && lambda.is_finite(),
             "invalid Poisson mean {lambda}"
         );
-        // lint:allow(float-eq-typed): exact-zero sentinel — any positive mean, however small, takes the sampling path
+        // lint:allow(float-eq-zero): exact-zero sentinel — any positive mean, however small, takes the sampling path
         if lambda == 0.0 {
             return 0;
         }
@@ -209,7 +209,7 @@ impl SimRng {
 
     /// Weighted index draw proportional to non-negative `weights`.
     /// Panics when all weights are zero or any weight is negative.
-    #[allow(clippy::expect_used)] // invariant stated in the expect message
+    #[expect(clippy::expect_used, reason = "invariant stated in the expect message")]
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights
             .iter()

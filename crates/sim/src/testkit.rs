@@ -35,9 +35,12 @@ pub fn forall(cases: u64, mut property: impl FnMut(&mut SimRng)) {
 struct CaseGuard(u64);
 
 impl Drop for CaseGuard {
+    #[expect(
+        clippy::print_stderr,
+        reason = "test-harness drop guard; only fires mid-panic to aid reproduction"
+    )]
     fn drop(&mut self) {
         if std::thread::panicking() {
-            // lint:allow(print-in-lib): test-harness drop guard; only fires mid-panic to aid reproduction
             eprintln!(
                 "property failed at deterministic case {} (reproduce with testkit::case_rng({}))",
                 self.0, self.0

@@ -103,7 +103,10 @@ pub struct Summary {
 
 impl Summary {
     /// Summarize a non-empty, finite sample.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
+    #[expect(
+        clippy::expect_used,
+        reason = "invariants stated in the expect messages"
+    )]
     pub fn of(xs: &[f64]) -> Result<Summary, StatsError> {
         if xs.is_empty() {
             return Err(StatsError::NotEnoughData { needed: 1, got: 0 });

@@ -1,12 +1,14 @@
 //! Total-order and tolerance helpers for `f64` comparisons.
 //!
-//! The flower-lint pass (`cargo xtask lint`) forbids `==`/`!=` against
-//! float literals and `partial_cmp(..).unwrap()` in library crates:
-//! bitwise float equality silently misfires after any rounding, and
-//! `partial_cmp` panics the moment a NaN sneaks into a comparator.
-//! These helpers are the sanctioned replacements. Exact-zero *sentinel*
-//! checks (a value that is zero by construction, never by arithmetic)
-//! may instead carry a justified `lint:allow(float-eq-typed)`.
+//! The library crates may not compare floats with `==`/`!=`
+//! (`clippy::float_cmp`, plus `cargo xtask lint`'s `float-eq-zero` for
+//! the comparison against zero that clippy exempts) or unwrap a
+//! `partial_cmp(..)` (`clippy::unwrap_used` / `expect_used`): bitwise
+//! float equality silently misfires after any rounding, and `partial_cmp`
+//! panics the moment a NaN sneaks into a comparator. These helpers are
+//! the sanctioned replacements. Exact-zero *sentinel* checks (a value
+//! that is zero by construction, never by arithmetic) may instead carry
+//! a justified `lint:allow(float-eq-zero)`.
 
 /// Relative-plus-absolute tolerance equality.
 ///

@@ -99,7 +99,7 @@ impl Matrix {
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self[(i, k)];
-                // lint:allow(float-eq-typed): exact-zero sparsity fast path — skips only true zeros, bit-identical results
+                // lint:allow(float-eq-zero): exact-zero sparsity fast path — skips only true zeros, bit-identical results
                 if a == 0.0 {
                     continue;
                 }
@@ -125,7 +125,7 @@ impl Matrix {
         for col in 0..n {
             // Partial pivot: find the largest |entry| at or below the
             // diagonal.
-            #[allow(clippy::expect_used)] // invariant stated in the expect message
+            #[expect(clippy::expect_used, reason = "invariant stated in the expect message")]
             let pivot_row = (col..n)
                 .max_by(|&r1, &r2| a[r1 * n + col].abs().total_cmp(&a[r2 * n + col].abs()))
                 .expect("col..n is non-empty because col < n");
@@ -141,7 +141,7 @@ impl Matrix {
             }
             for row in (col + 1)..n {
                 let factor = a[row * n + col] / a[col * n + col];
-                // lint:allow(float-eq-typed): exact-zero sparsity fast path — skips only true zeros, bit-identical results
+                // lint:allow(float-eq-zero): exact-zero sparsity fast path — skips only true zeros, bit-identical results
                 if factor == 0.0 {
                     continue;
                 }

@@ -259,7 +259,7 @@ impl MultipleOls {
             self.coefficients.len(),
             "regressor count mismatch"
         );
-        #[allow(clippy::expect_used)] // invariant stated in the expect message
+        #[expect(clippy::expect_used, reason = "invariant stated in the expect message")]
         let (intercept, betas) = self
             .coefficients
             .split_first()

@@ -1,79 +1,19 @@
 //! The `flower-lint` rule engine.
 //!
 //! Rules operate on the token stream produced by [`crate::lexer`] plus
-//! the comment trivia (for `lint:allow` directives). Test code —
-//! `#[cfg(test)]` / `#[test]` items inside library sources — is masked
-//! out before rules run, and each crate is classified into a *profile*
-//! (deterministic library vs. exempt front-end) that selects which rule
-//! families apply.
+//! the comment trivia (for `lint:allow` directives), and cover only what
+//! clippy cannot check. The determinism bans, panic freedom, console
+//! output and float comparison against non-zero values are clippy lints
+//! set in the workspace `Cargo.toml` and `clippy.toml` (DESIGN.md §7).
+//! Test code — `#[cfg(test)]` / `#[test]` items inside library sources —
+//! is masked out before rules run, and the exempt crates are not scanned.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::lexer::{lex, Comment, TokKind, Token};
-use crate::sig::SigIndex;
 
 /// Machine identifier for each invariant class the pass enforces.
 pub const RULES: &[(&str, &str)] = &[
-    (
-        "hash-iteration",
-        "std HashMap/HashSet in a deterministic library crate: iteration order is \
-         nondeterministic across runs; use BTreeMap/BTreeSet or a sorted Vec",
-    ),
-    (
-        "nondet-time",
-        "wall-clock read (Instant::now / SystemTime::now) in a deterministic crate: \
-         simulated components must take time from the virtual clock",
-    ),
-    (
-        "nondet-rng",
-        "entropy-seeded randomness (thread_rng / from_entropy / rand::random / getrandom): \
-         all randomness must flow from a seeded flower_sim::SimRng",
-    ),
-    (
-        "nondet-sleep",
-        "OS-clock wait (thread::sleep / park_timeout) in a deterministic crate: retry and \
-         backoff delays must be scheduled on flower_sim::SimTime, never the wall clock",
-    ),
-    (
-        "nondet-env",
-        "environment-dependent branching (std::env) in a deterministic crate: environment \
-         reads belong in crates/cli or crates/bench",
-    ),
-    (
-        "nan-partial-cmp",
-        "partial_cmp(..).unwrap()/.expect(..): panics on NaN mid-optimization; use \
-         f64::total_cmp or an epsilon helper from flower-stats",
-    ),
-    (
-        "float-eq-typed",
-        "exact ==/!= where type inference says either side is f64/f32: NaN-unsafe and \
-         rounding-brittle; use f64::total_cmp or flower_stats::float::{approx_eq, near_zero}",
-    ),
-    (
-        "nondet-flow",
-        "a value originating at a nondeterminism source (wall clock, entropy, environment, \
-         hash iteration) flows through bindings into deterministic state: a SimRng seed or \
-         fork label, a flower-obs recorder event, or a field store",
-    ),
-    (
-        "rng-provenance",
-        "SimRng::seed with a literal-derived seed in library code: every stream must trace \
-         to a seed parameter, config field, or parent fork so replay stays reproducible",
-    ),
-    (
-        "panic-unwrap",
-        ".unwrap() in library code: return a Result or use expect with an \
-         invariant-stating message",
-    ),
-    (
-        "panic-expect",
-        ".expect(..) whose message does not state an invariant (too short to explain \
-         why the value must exist)",
-    ),
-    (
-        "panic-macro",
-        "panic!/todo!/unimplemented! in library code: return an error instead",
-    ),
     (
         "index-literal",
         "slice indexing by integer literal, or by a for-loop variable on a Vec<f64>/\
@@ -81,9 +21,10 @@ pub const RULES: &[(&str, &str)] = &[
          .first()/.get(..)/.iter().zip(..) or destructuring",
     ),
     (
-        "print-in-lib",
-        "println!/eprintln!/print!/eprint! in a library crate: libraries report through \
-         return values or the structured recorder (flower-obs), never stdout/stderr",
+        "fixed-step-loop",
+        "a while/loop/for body advances SimTime by a constant step every iteration (the \
+         retired tick-loop shape): quiet windows cost one iteration per step; schedule \
+         discrete events on flower_sim::Scheduler and let run_until jump the clock",
     ),
     (
         "crate-layering",
@@ -94,10 +35,15 @@ pub const RULES: &[(&str, &str)] = &[
          replayable code)",
     ),
     (
-        "fixed-step-loop",
-        "a while/loop/for body advances SimTime by a constant step every iteration (the \
-         retired tick-loop shape): quiet windows cost one iteration per step; schedule \
-         discrete events on flower_sim::Scheduler and let run_until jump the clock",
+        "rng-provenance",
+        "SimRng::seed with a literal-derived seed in library code: every stream must trace \
+         to a seed parameter, config field, or parent fork so replay stays reproducible",
+    ),
+    (
+        "float-eq-zero",
+        "exact ==/!= against a zero float literal, the one float comparison \
+         clippy::float_cmp exempts: NaN-unsafe and rounding-brittle; use \
+         flower_stats::float::near_zero, or justify an exact-zero sentinel",
     ),
     (
         "allow-invalid",
@@ -110,30 +56,9 @@ pub const RULES: &[(&str, &str)] = &[
     ),
 ];
 
-/// Which rule families a crate is subject to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Profile {
-    /// Library crate feeding the simulator/optimizer: all rules apply.
-    DeterministicLib,
-    /// Front-end / harness crate (cli, bench, xtask): exempt from
-    /// determinism and panic-freedom rules (they talk to the real world
-    /// and may crash on bad CLI input).
-    Exempt,
-    /// Self-lint profile for `crates/xtask` (`cargo xtask lint
-    /// --tooling`): only the typed rules (`float-eq-typed`,
-    /// `nondet-flow`, `rng-provenance`) and the allow-hygiene rules
-    /// run — the tooling crate talks to the real filesystem and may
-    /// panic, but its analysis results must still be deterministic.
-    Tooling,
-}
-
-/// Classify a crate by name.
-pub fn profile_for(crate_name: &str) -> Profile {
-    match crate_name {
-        "cli" | "bench" | "xtask" | "serve" => Profile::Exempt,
-        _ => Profile::DeterministicLib,
-    }
-}
+/// Front-end and harness crates (cli, bench, serve, xtask): they talk to
+/// the real world, so no rule applies to them.
+const EXEMPT_CRATES: &[&str] = &["cli", "bench", "serve", "xtask"];
 
 /// One diagnostic produced by the pass.
 #[derive(Debug, Clone)]
@@ -324,74 +249,22 @@ fn skip_attribute(tokens: &[Token], i: usize) -> usize {
     j
 }
 
-/// Rules whose `lint:allow` also stops determinism *taint* from
-/// seeding at the allowed line: a justified source must not cascade
-/// into `nondet-flow` reports downstream.
-const SOURCE_RULES: &[&str] = &["nondet-time", "nondet-rng", "nondet-env", "hash-iteration"];
-
-/// Phase 1 of the typed pipeline: extract one file's signature
-/// contribution (fn returns, struct fields, const types, taint
-/// summaries). Runs over *every* crate — exempt ones included, since
-/// their return types can still resolve calls — but only
-/// `taint_eligible` (non-exempt) crates contribute taint edges.
-/// Sources behind a justified `lint:allow` do not seed taint.
-pub fn collect_signatures(src: &str, taint_eligible: bool) -> crate::sig::FileSigs {
-    let (tokens, comments) = lex(src);
-    let (allows, _) = parse_allows(&comments, "");
-    let suppressed: BTreeSet<u32> = allows
-        .iter()
-        .filter(|a| SOURCE_RULES.contains(&a.rule.as_str()))
-        .flat_map(|a| [a.line, a.line + 1])
-        .collect();
-    let ast = crate::parse::parse_tokens(&tokens);
-    crate::sig::collect_file(&ast, &suppressed, taint_eligible)
-}
-
 /// Analyze one file's source.
 ///
 /// `crate_name` is the workspace member directory name (`core`,
-/// `nsga2`, ...), used to select the rule [`Profile`]. `idx` is the
-/// merged workspace signature index from phase 1 (an empty index
-/// degrades the typed rules to local inference only).
-pub fn analyze(file: &str, crate_name: &str, src: &str, idx: &SigIndex) -> FileReport {
-    analyze_with_profile(file, profile_for(crate_name), src, idx)
-}
-
-/// [`analyze`] with an explicit profile (`--tooling` overrides the
-/// name-based classification to self-lint `crates/xtask`).
-pub fn analyze_with_profile(file: &str, profile: Profile, src: &str, idx: &SigIndex) -> FileReport {
-    // Exempt crates (cli, bench, xtask) are not scanned at all — their
-    // comments may legitimately *describe* the directive syntax (this
-    // file does), so allow parsing is skipped there too.
-    if profile == Profile::Exempt {
+/// `nsga2`, ...); files of the exempt crates yield an empty report.
+pub fn analyze(file: &str, crate_name: &str, src: &str) -> FileReport {
+    // Exempt crates are not scanned at all — their comments may
+    // legitimately *describe* the directive syntax (this file does), so
+    // allow parsing is skipped there too.
+    if EXEMPT_CRATES.contains(&crate_name) {
         return FileReport::default();
     }
     let (tokens, comments) = lex(src);
     let (allows, mut pre_violations) = parse_allows(&comments, file);
     let mask = test_mask(&tokens);
-
     let mut raw = Vec::new();
-    if profile == Profile::DeterministicLib {
-        scan_tokens(file, &tokens, &mask, &mut raw);
-    }
-
-    // Typed passes: parse, then run inference + taint over the AST.
-    // Test items carry `is_test` flags from the parser, mirroring the
-    // token mask the lexical rules use.
-    let ast = crate::parse::parse_tokens(&tokens);
-    let source_allowed: BTreeSet<u32> = allows
-        .iter()
-        .filter(|a| SOURCE_RULES.contains(&a.rule.as_str()))
-        .flat_map(|a| [a.line, a.line + 1])
-        .collect();
-    for finding in crate::flow::check_file(&ast, idx, &source_allowed) {
-        raw.push(Violation {
-            rule: finding.rule,
-            file: file.to_owned(),
-            line: finding.line,
-            message: finding.message,
-        });
-    }
+    scan_tokens(file, &tokens, &mask, &mut raw);
 
     let mut report = FileReport::default();
     report.violations.append(&mut pre_violations);
@@ -508,6 +381,120 @@ fn is_const_duration_call(tokens: &[Token], i: usize) -> bool {
         && text(i + 5) == ")"
 }
 
+/// Is `toks` an expression of numeric literals alone: literals joined by
+/// operators, parentheses and `as` casts (`42`, `7 ^ 13`, `(1 << 8) as u64`)?
+fn is_literal_expr(toks: &[Token]) -> bool {
+    const OPS: &[&str] = &[
+        "(", ")", "+", "-", "*", "/", "%", "^", "&", "|", "!", "<<", ">>",
+    ];
+    let mut saw_literal = false;
+    let mut k = 0;
+    while k < toks.len() {
+        let t = &toks[k];
+        match t.kind {
+            TokKind::Int | TokKind::Float => saw_literal = true,
+            TokKind::Punct if OPS.contains(&t.text.as_str()) => {}
+            // `as <type>`: skip the cast's target type.
+            TokKind::Ident
+                if t.text == "as" && toks.get(k + 1).is_some_and(|n| n.kind == TokKind::Ident) =>
+            {
+                k += 1;
+            }
+            _ => return false,
+        }
+        k += 1;
+    }
+    saw_literal
+}
+
+/// The initialiser tokens of the nearest `let <name> = ..;` before `at`
+/// in the enclosing fn (from its last `fn` keyword), if any.
+fn nearest_let_init<'t>(tokens: &'t [Token], at: usize, name: &str) -> Option<&'t [Token]> {
+    let fn_start = tokens[..at].iter().rposition(|t| t.text == "fn")?;
+    let mut found = None;
+    let mut i = fn_start;
+    while i < at {
+        if tokens[i].text != "let" {
+            i += 1;
+            continue;
+        }
+        let mut j = i + 1;
+        if tokens.get(j).is_some_and(|t| t.text == "mut") {
+            j += 1;
+        }
+        if tokens.get(j).map(|t| t.text.as_str()) != Some(name) {
+            i = j;
+            continue;
+        }
+        // Skip a type annotation up to the `=`.
+        let Some(eq) = tokens[j..at].iter().position(|t| t.text == "=") else {
+            break;
+        };
+        let init_start = j + eq + 1;
+        // The initialiser runs to the `;` at its own bracket depth.
+        let mut depth = 0i64;
+        let mut end = init_start;
+        while end < at {
+            match tokens[end].text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                ";" if depth == 0 => break,
+                _ => {}
+            }
+            end += 1;
+        }
+        found = Some(&tokens[init_start..end]);
+        i = end;
+    }
+    found
+}
+
+/// Is the token at `i` a float literal equal to zero (`0.0`, `0.`,
+/// `0f64`, `0.0e3`, `-0.0` after its sign)?
+fn is_zero_float(tokens: &[Token], i: usize) -> bool {
+    tokens.get(i).is_some_and(|t| {
+        t.kind == TokKind::Float
+            && t.text
+                .split(['e', 'E', 'f'])
+                .next()
+                .is_some_and(|mantissa| mantissa.chars().all(|c| matches!(c, '0' | '.' | '_')))
+    })
+}
+
+/// Operators that bind tighter than `==`: a zero literal next to one is
+/// part of a larger operand, not the operand itself.
+const TIGHTER_THAN_EQ: &[&str] = &[".", "+", "-", "*", "/", "%"];
+
+/// Does the token at `i` end a value, so that a `-` after it is binary?
+fn ends_value(tokens: &[Token], i: usize) -> bool {
+    tokens.get(i).is_some_and(|t| match t.kind {
+        TokKind::Punct => t.text == ")" || t.text == "]",
+        _ => true,
+    })
+}
+
+/// Is one operand of the `==` / `!=` at `op` a zero float literal?
+fn compares_with_zero(tokens: &[Token], op: usize) -> bool {
+    let text = |i: usize| tokens.get(i).map_or("", |t: &Token| t.text.as_str());
+    // Right operand: `x == 0.0`, `x != -0.0`.
+    let mut r = op + 1;
+    if text(r) == "-" {
+        r += 1;
+    }
+    if is_zero_float(tokens, r) && !TIGHTER_THAN_EQ.contains(&text(r + 1)) {
+        return true;
+    }
+    // Left operand: `0.0 == x`, `-0.0 != x`.
+    let Some(l) = op.checked_sub(1).filter(|&l| is_zero_float(tokens, l)) else {
+        return false;
+    };
+    let mut before = l.wrapping_sub(1);
+    if text(before) == "-" && !ends_value(tokens, before.wrapping_sub(1)) {
+        before = before.wrapping_sub(1);
+    }
+    !TIGHTER_THAN_EQ.contains(&text(before))
+}
+
 /// Run every token-pattern rule over non-test tokens.
 fn scan_tokens(file: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Violation>) {
     let text = |i: usize| tokens.get(i).map_or("", |t: &Token| t.text.as_str());
@@ -559,6 +546,19 @@ fn scan_tokens(file: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Violat
                     loop_depths.retain(|d| *d < depth);
                     depth -= 1;
                 }
+                // --- NaN safety: the comparison clippy exempts ---
+                "==" | "!=" if compares_with_zero(tokens, i) => {
+                    emit(
+                        out,
+                        "float-eq-zero",
+                        t.line,
+                        format!(
+                            "exact `{}` against a zero float literal; use \
+                             flower_stats::float::near_zero",
+                            t.text
+                        ),
+                    );
+                }
                 _ => {}
             }
         }
@@ -589,44 +589,8 @@ fn scan_tokens(file: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Violat
                 );
             }
         }
-        // Float comparisons are handled by the typed pass
-        // (`float-eq-typed` in `crate::flow`), which sees literal
-        // comparisons *and* `a == b` on two inferred-float bindings —
-        // the case a lexical rule provably misses.
         if t.kind == TokKind::Ident {
             match t.text.as_str() {
-                // --- determinism: hashed containers ---
-                "HashMap" | "HashSet" => {
-                    // Skip `use std::collections::{...}` re-exports no —
-                    // flag those too: importing is the gateway.
-                    emit(
-                        out,
-                        "hash-iteration",
-                        t.line,
-                        format!("`{}` in deterministic library code", t.text),
-                    );
-                }
-                // --- determinism: wall clock ---
-                "Instant" | "SystemTime" if text(i + 1) == "::" && text(i + 2) == "now" => {
-                    emit(
-                        out,
-                        "nondet-time",
-                        t.line,
-                        format!("`{}::now()` reads the wall clock", t.text),
-                    );
-                }
-                // --- determinism: OS-clock waits ---
-                "thread"
-                    if text(i + 1) == "::"
-                        && matches!(text(i + 2), "sleep" | "sleep_ms" | "park_timeout") =>
-                {
-                    emit(
-                        out,
-                        "nondet-sleep",
-                        t.line,
-                        format!("`thread::{}` waits on the OS clock", text(i + 2)),
-                    );
-                }
                 // --- layering: the daemon shell and the fleet
                 // orchestrator are downstream-only ---
                 "flower_serve" | "flower_fleet" => {
@@ -637,97 +601,25 @@ fn scan_tokens(file: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Violat
                         format!("`{}` referenced from deterministic library code", t.text),
                     );
                 }
-                // --- determinism: entropy ---
-                "thread_rng" | "from_entropy" | "getrandom" => {
-                    emit(
-                        out,
-                        "nondet-rng",
-                        t.line,
-                        format!("`{}` draws OS entropy", t.text),
-                    );
-                }
-                "rand" if text(i + 1) == "::" && text(i + 2) == "random" => {
-                    emit(
-                        out,
-                        "nondet-rng",
-                        t.line,
-                        "`rand::random` draws OS entropy".into(),
-                    );
-                }
-                // --- determinism: environment ---
-                "env"
-                    if text(i + 1) == "::"
-                        && matches!(
-                            text(i + 2),
-                            "var" | "var_os" | "vars" | "args" | "args_os"
-                        ) =>
-                {
-                    emit(
-                        out,
-                        "nondet-env",
-                        t.line,
-                        format!("`env::{}` branches on the environment", text(i + 2)),
-                    );
-                }
-                // --- NaN safety: partial_cmp().unwrap()/expect() ---
-                "partial_cmp" if text(i + 1) == "(" => {
-                    if let Some(j) = matching_paren(tokens, i + 1) {
-                        if text(j + 1) == "." && matches!(text(j + 2), "unwrap" | "expect") {
-                            emit(
-                                out,
-                                "nan-partial-cmp",
-                                t.line,
-                                format!(
-                                    "`partial_cmp(..).{}()` panics on NaN; use f64::total_cmp",
-                                    text(j + 2)
-                                ),
-                            );
-                        }
+                // --- seed provenance: no hard-coded streams ---
+                "SimRng" if text(i + 1) == "::" && text(i + 2) == "seed" && text(i + 3) == "(" => {
+                    let Some(close) = matching_paren(tokens, i + 3) else {
+                        continue;
+                    };
+                    let arg = &tokens[i + 4..close];
+                    let literal = is_literal_expr(arg)
+                        || matches!(arg, [name] if name.kind == TokKind::Ident
+                            && nearest_let_init(tokens, i, &name.text).is_some_and(is_literal_expr));
+                    if literal {
+                        emit(
+                            out,
+                            "rng-provenance",
+                            t.line,
+                            "`SimRng::seed` with a hard-coded literal seed: seeds must trace \
+                             to a seed parameter, config field, or parent stream fork"
+                                .to_owned(),
+                        );
                     }
-                }
-                // --- panic freedom: unwrap / weak expect ---
-                "unwrap"
-                    if text(i + 1) == "("
-                        && text(i + 2) == ")"
-                        && text(i.wrapping_sub(1)) == "." =>
-                {
-                    emit(
-                        out,
-                        "panic-unwrap",
-                        t.line,
-                        "`.unwrap()` in library code".into(),
-                    );
-                }
-                "expect" if text(i + 1) == "(" && text(i.wrapping_sub(1)) == "." => {
-                    if kind(i + 2) == Some(TokKind::Str) && text(i + 3) == ")" {
-                        let msg = text(i + 2).trim_matches('"');
-                        if msg.len() < 12 || !msg.contains(' ') {
-                            emit(
-                                out,
-                                "panic-expect",
-                                t.line,
-                                format!("`.expect(\"{msg}\")` message does not state an invariant"),
-                            );
-                        }
-                    }
-                }
-                // --- observability: ad-hoc console output ---
-                "println" | "eprintln" | "print" | "eprint" if text(i + 1) == "!" => {
-                    emit(
-                        out,
-                        "print-in-lib",
-                        t.line,
-                        format!("`{}!` writes to the console from library code", t.text),
-                    );
-                }
-                // --- panic freedom: macros ---
-                "panic" | "todo" | "unimplemented" if text(i + 1) == "!" => {
-                    emit(
-                        out,
-                        "panic-macro",
-                        t.line,
-                        format!("`{}!` in library code", t.text),
-                    );
                 }
                 // --- panic freedom: indexed loops over float slices ---
                 "for" if kind(i + 1) == Some(TokKind::Ident) && text(i + 2) == "in" => {
@@ -808,44 +700,11 @@ mod tests {
     use super::*;
 
     fn rules_hit(src: &str) -> Vec<&'static str> {
-        let report = analyze("fixture.rs", "core", src, &SigIndex::default());
-        report.violations.iter().map(|v| v.rule).collect()
-    }
-
-    fn analyze_no_idx(file: &str, crate_name: &str, src: &str) -> FileReport {
-        analyze(file, crate_name, src, &SigIndex::default())
-    }
-
-    #[test]
-    fn catches_hash_iteration() {
-        assert_eq!(
-            rules_hit("use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }"),
-            vec!["hash-iteration", "hash-iteration", "hash-iteration"]
-        );
-    }
-
-    #[test]
-    fn catches_wall_clock_and_entropy_and_env() {
-        let src = r#"
-            fn f() {
-                let t = Instant::now();
-                let s = std::time::SystemTime::now();
-                let r = rand::thread_rng();
-                let x = rand::random::<f64>();
-                let home = std::env::var("HOME");
-            }
-        "#;
-        let hits = rules_hit(src);
-        assert_eq!(
-            hits,
-            vec![
-                "nondet-time",
-                "nondet-time",
-                "nondet-rng",
-                "nondet-rng",
-                "nondet-env"
-            ]
-        );
+        analyze("fixture.rs", "core", src)
+            .violations
+            .iter()
+            .map(|v| v.rule)
+            .collect()
     }
 
     #[test]
@@ -861,21 +720,6 @@ mod tests {
             rules_hit(fleet_src),
             vec!["crate-layering", "crate-layering"]
         );
-        // The serve crate itself is Exempt, as are the front ends.
-        for exempt in ["serve", "cli", "bench", "xtask"] {
-            assert!(
-                analyze_no_idx("fixture.rs", exempt, src)
-                    .violations
-                    .is_empty(),
-                "`{exempt}` must be exempt from crate-layering"
-            );
-            assert!(
-                analyze_no_idx("fixture.rs", exempt, fleet_src)
-                    .violations
-                    .is_empty(),
-                "`{exempt}` must be exempt from crate-layering"
-            );
-        }
         // Mentioning either crate in a comment is fine.
         assert!(rules_hit("// flower_serve is downstream of this crate\nfn f() {}").is_empty());
         assert!(rules_hit("// flower_fleet merges per-flow traces\nfn f() {}").is_empty());
@@ -883,116 +727,123 @@ mod tests {
         // internal references go through `crate::`, never the package
         // name, so the rule holds for the orchestrator itself too.
         assert!(
-            analyze_no_idx("fixture.rs", "fleet", "fn f() { crate::broker::noop(); }")
+            analyze("fixture.rs", "fleet", "fn f() { crate::broker::noop(); }")
                 .violations
                 .is_empty()
         );
     }
 
     #[test]
-    fn catches_os_clock_sleeps() {
+    fn catches_literal_indexing() {
         let src = r#"
-            fn backoff_badly(attempt: u32) {
-                std::thread::sleep(std::time::Duration::from_secs(1 << attempt));
-                thread::sleep(Duration::from_millis(50));
-                std::thread::park_timeout(Duration::from_secs(1));
+            fn f(xs: &[u64]) -> u64 {
+                let c = xs[0];
+                xs.get(1).copied().unwrap_or(c)
             }
         "#;
-        assert_eq!(
-            rules_hit(src),
-            vec!["nondet-sleep", "nondet-sleep", "nondet-sleep"]
-        );
-        // Sim-clock waits and test code are clean.
-        assert!(
-            rules_hit("fn f(rng: &mut SimRng) { let due = now + config.backoff(1); }").is_empty()
-        );
-        let test_src = "#[cfg(test)]\nmod tests { fn t() { std::thread::sleep(Duration::ZERO); } }";
-        assert!(rules_hit(test_src).is_empty());
-        // Exempt crates (cli/bench/xtask) may sleep.
-        let report = analyze_no_idx(
-            "bench.rs",
-            "bench",
-            "fn f() { std::thread::sleep(Duration::ZERO); }",
-        );
-        assert!(report.violations.is_empty());
+        assert_eq!(rules_hit(src), vec!["index-literal"]);
     }
 
     #[test]
-    fn thread_spawn_and_joins_are_not_sleeps() {
+    fn literal_seed_violates_provenance() {
+        assert_eq!(
+            rules_hit("fn f() { let rng = SimRng::seed(42); }"),
+            vec!["rng-provenance"]
+        );
+        // Operators, parentheses and casts keep a seed literal-only.
+        assert_eq!(
+            rules_hit("fn f() { let rng = SimRng::seed((1 << 8) as u64 ^ 0xFF); }"),
+            vec!["rng-provenance"]
+        );
+    }
+
+    #[test]
+    fn literal_seed_through_binding_violates_provenance() {
+        let src = "fn f() { let s = 7 ^ 13; let rng = SimRng::seed(s); }";
+        assert_eq!(rules_hit(src), vec!["rng-provenance"]);
+        let typed = "fn f() { let mut s: u64 = 7; s += 1; let rng = SimRng::seed(s); }";
+        assert_eq!(rules_hit(typed), vec!["rng-provenance"]);
+    }
+
+    #[test]
+    fn seed_from_parameter_is_clean() {
         let src = r#"
-            fn f() {
-                let h = std::thread::spawn(|| 1u64);
-                let _ = h.join();
-                std::thread::park();
+            fn a(seed: u64) -> SimRng { SimRng::seed(seed) }
+            fn b(seed: u64) -> SimRng { SimRng::seed(seed ^ 0x9E37_79B9_7F4A_7C15) }
+            fn c(config: &Config) -> SimRng { SimRng::seed(config.seed) }
+            fn d(seed: u64) -> SimRng { let s = seed ^ 7; SimRng::seed(s) }
+        "#;
+        assert!(rules_hit(src).is_empty(), "{:?}", rules_hit(src));
+    }
+
+    #[test]
+    fn provenance_binding_lookup_stays_in_its_fn() {
+        // `seed` is a literal binding in `a` but a parameter in `b`: the
+        // nearest `let` is looked up only inside the enclosing fn, and
+        // the nearest one wins.
+        let src = r#"
+            fn a() -> u64 { let seed = 3; seed }
+            fn b(seed: u64) -> SimRng { SimRng::seed(seed) }
+            fn c(x: u64) -> SimRng { let s = 3; let s = s ^ x; SimRng::seed(s) }
+        "#;
+        assert!(rules_hit(src).is_empty(), "{:?}", rules_hit(src));
+    }
+
+    #[test]
+    fn provenance_flags_only_the_literal_seed() {
+        // Three seeds in one library file, one hard-coded: exactly one
+        // finding, on the literal's line.
+        let src = r#"
+pub fn from_config(config: &Config) -> SimRng {
+    let s = config.seed + 1;
+    SimRng::seed(s)
+}
+
+pub fn literal_seed() -> SimRng {
+    SimRng::seed(42)
+}
+
+pub fn good_seed(seed: u64) -> SimRng {
+    SimRng::seed(seed)
+}
+"#;
+        let report = analyze("fixture.rs", "core", src);
+        let lines: Vec<(&str, u32)> = report.violations.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(lines, vec![("rng-provenance", 8)]);
+    }
+
+    #[test]
+    fn float_eq_zero_catches_zero_literals() {
+        let src = r#"
+            fn f(x: f64, y: f64) -> bool {
+                let a = x == 0.0;
+                let b = 0.0 != y;
+                let c = x == -0.0;
+                let d = -0.0 == y;
+                let e = x != 0f64;
+                let g = x == 0.0_f32 as f64;
+                a && b && c && d && e && g
+            }
+        "#;
+        assert_eq!(rules_hit(src), vec!["float-eq-zero"; 6]);
+    }
+
+    #[test]
+    fn nonzero_float_eq_is_left_to_clippy() {
+        // `clippy::float_cmp` owns every comparison but the zero one.
+        let src = r#"
+            fn f(x: f64, y: f64) -> bool {
+                x == 0.5 || 1.0e-3 != y || x == y
+                    || x == 0.0 + y || y - 0.0 == x || x == 0.0.max(y)
             }
         "#;
         assert!(rules_hit(src).is_empty(), "{:?}", rules_hit(src));
     }
 
     #[test]
-    fn catches_nan_unsafe_comparisons() {
-        let src = r#"
-            fn f(xs: &mut [f64], y: f64) {
-                xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                if y == 0.5 { }
-                if 1.5 != y { }
-            }
-        "#;
-        let hits = rules_hit(src);
-        // partial_cmp violations also trip panic-unwrap/panic-expect.
-        assert!(hits.iter().filter(|r| **r == "nan-partial-cmp").count() == 2);
-        assert!(hits.iter().filter(|r| **r == "float-eq-typed").count() == 2);
-    }
-
-    #[test]
-    fn catches_panics_and_literal_indexing() {
-        let src = r#"
-            fn f(xs: &[u64]) -> u64 {
-                let a = xs.first().unwrap();
-                let b = xs.last().expect("short");
-                if xs.is_empty() { panic!("empty"); }
-                let c = xs[0];
-                todo!()
-            }
-        "#;
-        let hits = rules_hit(src);
-        assert!(hits.contains(&"panic-unwrap"));
-        assert!(hits.contains(&"panic-expect"));
-        assert!(hits.iter().filter(|r| **r == "panic-macro").count() == 2);
-        assert!(hits.contains(&"index-literal"));
-    }
-
-    #[test]
-    fn catches_console_prints_in_library_code() {
-        let src = r#"
-            fn f(x: u64) {
-                println!("x = {x}");
-                eprintln!("warning");
-                print!("partial");
-                eprint!("partial err");
-            }
-        "#;
-        assert_eq!(
-            rules_hit(src),
-            vec![
-                "print-in-lib",
-                "print-in-lib",
-                "print-in-lib",
-                "print-in-lib"
-            ]
-        );
-        // Test code and exempt crates keep their prints.
-        let test_src = "#[cfg(test)]\nmod tests { fn t() { println!(\"dbg\"); } }";
-        assert!(rules_hit(test_src).is_empty());
-        let report = analyze_no_idx("cli.rs", "cli", "fn f() { println!(\"hi\"); }");
-        assert!(report.violations.is_empty());
-    }
-
-    #[test]
-    fn invariant_stating_expect_is_allowed() {
-        let src = r#"fn f(xs: &[u64]) -> u64 { *xs.last().expect("population is never empty after init") }"#;
-        assert!(rules_hit(src).is_empty());
+    fn integer_eq_is_clean() {
+        let src = "fn f(a: u64, b: u64) -> bool { a == b || a == 0 || 0 != b || a == 0x0 }";
+        assert!(rules_hit(src).is_empty(), "{:?}", rules_hit(src));
     }
 
     #[test]
@@ -1004,103 +855,163 @@ mod tests {
             mod tests {
                 #[test]
                 fn t() {
-                    let m = std::collections::HashMap::<u32, u32>::new();
-                    assert_eq!(m.len(), 0);
-                    let x: Option<u32> = None;
-                    x.unwrap();
+                    let rng = SimRng::seed(42);
+                    let xs = [1u64, 2];
+                    assert_eq!(xs[0], 1);
+                    assert!(0.5 * 0.0 == 0.0);
+                    let _ = flower_serve::Daemon::new();
                 }
             }
+
+            #[test]
+            fn lone() { let rng = SimRng::seed(7); }
         "#;
-        assert!(rules_hit(src).is_empty());
+        assert!(rules_hit(src).is_empty(), "{:?}", rules_hit(src));
+    }
+
+    #[test]
+    fn test_code_is_exempt_from_provenance() {
+        // A literal seed is how a test pins its fixture, whether it is
+        // passed straight in or through a binding.
+        let src = r#"
+            #[cfg(test)]
+            mod tests {
+                #[test]
+                fn t() { let rng = SimRng::seed(42); }
+
+                #[test]
+                fn through_binding() { let s = 7 ^ 13; let rng = SimRng::seed(s); }
+            }
+        "#;
+        assert!(rules_hit(src).is_empty(), "{:?}", rules_hit(src));
+        // The same bodies outside test code are findings.
+        let lib = "fn t() { let rng = SimRng::seed(42); }\n\
+                   fn through_binding() { let s = 7 ^ 13; let rng = SimRng::seed(s); }";
+        assert_eq!(rules_hit(lib), vec!["rng-provenance"; 2]);
     }
 
     #[test]
     fn cfg_not_test_is_not_exempt() {
         let src = r#"
             #[cfg(not(test))]
-            fn lib() { let x: Option<u32> = None; x.unwrap(); }
+            fn lib(xs: &[u64]) -> u64 { xs[0] }
         "#;
-        assert_eq!(rules_hit(src), vec!["panic-unwrap"]);
+        assert_eq!(rules_hit(src), vec!["index-literal"]);
     }
 
     #[test]
     fn exempt_profile_skips_determinism_rules() {
-        let src = "fn f() { let t = Instant::now(); let x: Option<u32> = None; x.unwrap(); }";
-        let report = analyze_no_idx("cli.rs", "cli", src);
-        assert!(report.violations.is_empty());
+        let src = "use flower_serve::Daemon;\n\
+                   fn f(xs: &[u64], x: f64) -> u64 { let r = SimRng::seed(1); \
+                   if x == 0.0 { xs[0] } else { 0 } }";
+        assert_eq!(rules_hit(src).len(), 4, "{:?}", rules_hit(src));
+        for exempt in ["serve", "cli", "bench", "xtask"] {
+            let report = analyze("fixture.rs", exempt, src);
+            assert!(report.violations.is_empty(), "`{exempt}` must be exempt");
+        }
     }
 
     #[test]
     fn strings_and_comments_never_fire() {
         let src = r#"
-            // HashMap::new() and Instant::now() in a comment
-            /* thread_rng() too */
-            fn f() -> &'static str { "HashMap unwrap() panic! == 1.0" }
+            // SimRng::seed(42) and xs[0] in a comment
+            /* x == 0.0 and flower_serve too */
+            fn f() -> &'static str { "SimRng::seed(42) xs[0] == 0.0 flower_fleet" }
         "#;
-        assert!(rules_hit(src).is_empty());
+        assert!(rules_hit(src).is_empty(), "{:?}", rules_hit(src));
     }
 
     #[test]
     fn justified_allow_suppresses() {
         let src = r#"
-            // lint:allow(hash-iteration): membership-only set, never iterated
-            use std::collections::HashSet;
+            fn f(x: f64) -> bool {
+                // lint:allow(float-eq-zero): exact-zero sentinel, never computed
+                x == 0.0
+            }
         "#;
-        let report = analyze_no_idx("fixture.rs", "core", src);
-        assert!(report.violations.is_empty());
+        let report = analyze("fixture.rs", "core", src);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.allows_used.len(), 1);
-        assert_eq!(report.allows_used[0].rule, "hash-iteration");
+        assert_eq!(report.allows_used[0].rule, "float-eq-zero");
+        assert_eq!(report.allows_used[0].line, 4);
     }
 
     #[test]
     fn same_line_allow_suppresses() {
-        let src = "use std::collections::HashSet; // lint:allow(hash-iteration): membership-only set, never iterated\n";
-        let report = analyze_no_idx("fixture.rs", "core", src);
-        assert!(report.violations.is_empty());
+        let src = "fn f() { let r = SimRng::seed(7); } // lint:allow(rng-provenance): fixed demo stream, documented\n";
+        let report = analyze("fixture.rs", "core", src);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.allows_used.len(), 1);
     }
 
     #[test]
     fn unjustified_allow_is_a_violation() {
         let src = r#"
-            // lint:allow(hash-iteration)
-            use std::collections::HashSet;
+            // lint:allow(index-literal)
+            fn f(xs: &[u64]) -> u64 { xs[0] }
         "#;
-        let report = analyze_no_idx("fixture.rs", "core", src);
+        let report = analyze("fixture.rs", "core", src);
         // An unjustified allow must not silence the underlying finding:
         // both the bad allow and the real violation are reported.
         assert_eq!(
             report.violations.iter().map(|v| v.rule).collect::<Vec<_>>(),
-            vec!["allow-invalid", "hash-iteration"]
+            vec!["allow-invalid", "index-literal"]
         );
     }
 
     #[test]
     fn prose_mention_of_allow_syntax_is_not_a_directive() {
-        let src =
-            "//! Suppress with a justified `lint:allow(float-eq-typed)` comment.\nfn f() {}\n";
-        let report = analyze_no_idx("fixture.rs", "core", src);
+        let src = "//! Suppress with a justified `lint:allow(float-eq-zero)` comment.\nfn f() {}\n";
+        let report = analyze("fixture.rs", "core", src);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.allows_used.is_empty());
     }
 
     #[test]
     fn unknown_rule_allow_is_a_violation() {
-        let src = "// lint:allow(no-such-rule): this rule does not exist\nfn f() {}\n";
-        let report = analyze_no_idx("fixture.rs", "core", src);
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, "allow-invalid");
+        // Rules clippy now carries are unknown here: their suppressions
+        // are `#[expect(clippy::..)]` attributes.
+        for rule in [
+            "no-such-rule",
+            "panic-unwrap",
+            "nondet-flow",
+            "float-eq-typed",
+        ] {
+            let src =
+                format!("// lint:allow({rule}): this rule is not flower-lint's\nfn f() {{}}\n");
+            let report = analyze("fixture.rs", "core", &src);
+            assert_eq!(report.violations.len(), 1, "{rule}");
+            assert_eq!(report.violations[0].rule, "allow-invalid", "{rule}");
+        }
+    }
+
+    #[test]
+    fn stale_allow_is_a_violation() {
+        let src = r#"
+            // lint:allow(float-eq-zero): stale — nothing on the next line compares floats
+            pub fn add(a: u64, b: u64) -> u64 {
+                a + b
+            }
+        "#;
+        let report = analyze("fixture.rs", "core", src);
+        assert_eq!(
+            report.violations.iter().map(|v| v.rule).collect::<Vec<_>>(),
+            vec!["allow-unused"]
+        );
+        let clean = "pub fn add(a: u64, b: u64) -> u64 {\n    a + b\n}\n";
+        assert!(rules_hit(clean).is_empty());
     }
 
     #[test]
     fn allow_does_not_leak_to_other_lines() {
         let src = r#"
-            // lint:allow(panic-unwrap): only suppresses the next line
-            fn a(x: Option<u32>) -> u32 { x.unwrap() }
-            fn b(x: Option<u32>) -> u32 { x.unwrap() }
+            // lint:allow(index-literal): only suppresses the next line
+            fn a(xs: &[u64]) -> u64 { xs[0] }
+            fn b(xs: &[u64]) -> u64 { xs[0] }
         "#;
-        let report = analyze_no_idx("fixture.rs", "core", src);
+        let report = analyze("fixture.rs", "core", src);
         assert_eq!(report.violations.len(), 1);
+        assert_eq!(report.violations[0].line, 4);
         assert_eq!(report.allows_used.len(), 1);
     }
 
@@ -1227,7 +1138,7 @@ mod tests {
                 }
             }
         "#;
-        let report = analyze_no_idx("fixture.rs", "cloud", src);
+        let report = analyze("fixture.rs", "cloud", src);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.allows_used.len(), 1);
         assert_eq!(report.allows_used[0].rule, "fixed-step-loop");
@@ -1235,10 +1146,19 @@ mod tests {
 
     #[test]
     fn every_rule_has_distinct_name_and_description() {
-        let mut names: Vec<&str> = RULES.iter().map(|(n, _)| *n).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), RULES.len());
-        assert!(RULES.len() >= 6, "acceptance: >= 6 invariant classes");
+        let names: Vec<&str> = RULES.iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names,
+            [
+                "index-literal",
+                "fixed-step-loop",
+                "crate-layering",
+                "rng-provenance",
+                "float-eq-zero",
+                "allow-invalid",
+                "allow-unused"
+            ]
+        );
+        assert!(RULES.iter().all(|(_, desc)| desc.len() > 40));
     }
 }

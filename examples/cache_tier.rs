@@ -1,5 +1,12 @@
-// Test target: unwrap/expect is deliberate here (an example fails loud).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
+// Example: it prints its results and reads its arguments and
+// FLOWER_THREADS; unwrap/expect is deliberate here (an example fails loud).
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    clippy::print_stdout,
+    clippy::disallowed_methods
+)]
 //! A fourth layer beyond the paper: a cache tier on the storage read
 //! path, driven end-to-end through the same registry machinery as the
 //! paper's three layers — its own capacity unit (cache nodes), its own

@@ -1,6 +1,12 @@
-// Test target: unwrap/expect and exact float comparison are deliberate
-// here (determinism assertions compare results bit-for-bit).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
+// Example: it prints its results; unwrap/expect and exact float
+// comparison are deliberate here (determinism assertions compare
+// results bit-for-bit).
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    clippy::print_stdout
+)]
 //! The paper's headline scenario end-to-end: a click-stream data
 //! analytics flow (Fig. 1) under a realistic day/night workload with a
 //! lunchtime flash crowd, managed holistically by Flower.

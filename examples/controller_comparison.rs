@@ -1,6 +1,12 @@
-// Test target: unwrap/expect and exact float comparison are deliberate
-// here (determinism assertions compare results bit-for-bit).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
+// Example: it prints its results; unwrap/expect and exact float
+// comparison are deliberate here (determinism assertions compare
+// results bit-for-bit).
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    clippy::print_stdout
+)]
 //! Resource Provisioning (paper §3.3): pit the paper's adaptive
 //! gain-memory controller against the fixed-gain [12], quasi-adaptive
 //! [14], and rule-based [1] baselines on the same step disturbance, and

@@ -1,6 +1,12 @@
-// Test target: unwrap/expect and exact float comparison are deliberate
-// here (determinism assertions compare results bit-for-bit).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
+// Example: it prints its results; unwrap/expect and exact float
+// comparison are deliberate here (determinism assertions compare
+// results bit-for-bit).
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    clippy::print_stdout
+)]
 //! Cross-Platform Monitoring (paper §3.4, Figs. 5–6): the
 //! "all-in-one-place visualizer" — one consolidated view over Kinesis-,
 //! Storm- and DynamoDB-like services, refreshed live while the flow runs.

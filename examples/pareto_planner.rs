@@ -1,6 +1,13 @@
-// Test target: unwrap/expect and exact float comparison are deliberate
-// here (determinism assertions compare results bit-for-bit).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
+// Example: it prints its results and reads its arguments; unwrap/expect
+// and exact float comparison are deliberate here (determinism
+// assertions compare results bit-for-bit).
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    clippy::print_stdout,
+    clippy::disallowed_methods
+)]
 //! Resource Share Analysis (paper §3.2, Fig. 4): given an hourly budget
 //! and the worked example's dependency constraints, find the Pareto-
 //! optimal resource shares for the three layers with NSGA-II and print

@@ -1,6 +1,12 @@
-// Test target: unwrap/expect and exact float comparison are deliberate
-// here (determinism assertions compare results bit-for-bit).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
+// Example: it prints its results; unwrap/expect and exact float
+// comparison are deliberate here (determinism assertions compare
+// results bit-for-bit).
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    clippy::print_stdout
+)]
 //! Quickstart: build the paper's click-stream flow, attach Flower's
 //! adaptive controllers, run ten simulated minutes, and print what
 //! happened.

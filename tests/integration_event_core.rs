@@ -1,6 +1,12 @@
 // Test target: unwrap/expect and exact comparison are deliberate here
-// (determinism assertions compare exported traces byte-for-byte).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
+// (determinism assertions compare exported traces byte-for-byte), and
+// the wall-clock bound reads `Instant::now`.
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    clippy::disallowed_methods
+)]
 //! Integration: the event-driven episode core over a month of SimTime.
 //!
 //! The discrete-event rewrite's reason to exist is that episode cost

@@ -13,7 +13,7 @@
 //! sockets involved.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 use flower_core::flow::clickstream_flow;
@@ -221,6 +221,71 @@ fn live_session_records_and_replays_byte_identically() {
         replayed.recorder().to_jsonl(),
         live_trace,
         "replay diverged from the live session"
+    );
+}
+
+/// A client that streams bytes without a newline is dropped once its
+/// line passes `MAX_LINE_BYTES`, and the session goes on for everyone
+/// else. The session is held until the flooding connection has closed
+/// or a read timeout says it never will, so an uncapped reader (which
+/// buffers the 10 MB and waits) fails here instead of passing at `bye`.
+#[test]
+fn over_long_client_line_drops_only_that_client() {
+    let daemon = Daemon::bind(ServeConfig {
+        listen: "127.0.0.1:0".to_owned(),
+        duration: SimDuration::from_mins(2),
+        hold: true,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = daemon.local_addr().unwrap();
+
+    let client = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut lines = Vec::new();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        read_until(&mut reader, &mut lines, "\"frame\":\"hello\"");
+        send(&mut stream, "{\"frame\":\"subscribe\"}");
+
+        let mut flood = TcpStream::connect(addr).unwrap();
+        let mut flood_reader = BufReader::new(flood.try_clone().unwrap());
+        read_until(&mut flood_reader, &mut Vec::new(), "\"frame\":\"hello\"");
+        // The daemon stops reading and closes the socket partway
+        // through, so the write may fail.
+        let _ = flood.write_all(&vec![b'x'; 10 << 20]);
+        flood
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let flood_closed = match flood_reader.read_to_end(&mut Vec::new()) {
+            Ok(_) => true,
+            Err(e) => !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+        };
+
+        send(
+            &mut stream,
+            "{\"frame\":\"command\",\"id\":1,\"cmd\":\"resume\"}",
+        );
+        read_until(&mut reader, &mut lines, "\"frame\":\"bye\"");
+        (flood_closed, lines)
+    });
+
+    let mut manager = live_manager();
+    let outcome = daemon.run(&mut manager).unwrap();
+    let (flood_closed, lines) = client.join().unwrap();
+
+    assert!(
+        flood_closed,
+        "the daemon never closed the flooding connection"
+    );
+    assert_eq!(outcome.clients_served, 2);
+    assert_eq!(outcome.commands_applied, 1);
+    assert!(lines.iter().any(|l| l.contains("\"frame\":\"event\"")));
+    assert_eq!(
+        lines.last().map(String::as_str),
+        Some("{\"frame\":\"bye\",\"reason\":\"episode-complete\"}")
     );
 }
 
