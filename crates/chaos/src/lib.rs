@@ -31,7 +31,6 @@
 //! `flower-core`'s resilience policy, which consumes this crate).
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod inject;
 pub mod plan;

@@ -41,7 +41,6 @@
 //!   metric each tick; it is the "world" the elasticity manager controls.
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod alarms;
 pub mod cache;

@@ -36,7 +36,6 @@
 //! the §3.3 claim that the adaptive controller outperforms both baselines.
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod adaptive;
 pub mod fixed;

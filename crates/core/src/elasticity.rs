@@ -53,7 +53,7 @@ use crate::error::FlowerError;
 use crate::flow::{FlowSpec, Layer};
 use crate::monitor::CrossPlatformMonitor;
 use crate::provision::{sensors, LayerControllerConfig, ProvisioningManager, ResilienceConfig};
-use crate::replan::{ReplanOutcome, Replanner};
+use crate::replan::Replanner;
 
 /// A workload: an arrival process plus the click-stream shape.
 pub struct Workload {
@@ -976,14 +976,6 @@ impl ElasticityManager {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.sched.now()
-    }
-
-    /// Completed re-planning rounds (empty without a replanner).
-    pub fn replan_history(&self) -> &[ReplanOutcome] {
-        self.world
-            .replanner
-            .as_ref()
-            .map_or(&[], super::replan::Replanner::history)
     }
 
     /// The attached observability recorder (disabled unless one was

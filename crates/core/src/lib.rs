@@ -65,7 +65,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod config;
 pub mod dashboard;

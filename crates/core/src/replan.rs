@@ -219,7 +219,6 @@ pub struct Replanner {
     /// learned dependencies in resource space. Layers without an entry
     /// contribute no learned constraints.
     resource_metrics: Vec<(Layer, MetricId)>,
-    history: Vec<ReplanOutcome>,
     next_due: SimTime,
     recorder: Recorder,
     warm: Option<WarmState>,
@@ -288,7 +287,6 @@ impl Replanner {
             analyzer,
             base_problem,
             resource_metrics: Vec::new(),
-            history: Vec::new(),
             next_due,
             recorder: Recorder::disabled(),
             warm: None,
@@ -301,11 +299,6 @@ impl Replanner {
     /// re-solve emits its per-generation progress events.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
-    }
-
-    /// All completed rounds.
-    pub fn history(&self) -> &[ReplanOutcome] {
-        &self.history
     }
 
     /// When the next round is due.
@@ -487,15 +480,13 @@ impl Replanner {
         }
 
         let plan = self.config.selection.pick(&solution.plans).clone();
-        let outcome = ReplanOutcome {
+        Ok(ReplanOutcome {
             at: now,
             dependencies: deps.len(),
             plan,
             front_size: solution.plans.len(),
             warm,
-        };
-        self.history.push(outcome.clone());
-        Ok(outcome)
+        })
     }
 }
 
@@ -647,10 +638,14 @@ mod tests {
         let now = SimTime::from_mins(60);
         assert!(replanner.is_due(now));
         let outcome = replanner.replan(&store, now).expect("replan succeeds");
+        assert_eq!(outcome.at, now);
+        assert!(
+            !outcome.warm,
+            "the first round has nothing to warm-start from"
+        );
         assert!(outcome.dependencies >= 1, "should learn the flow couplings");
         assert!(outcome.front_size >= 1);
         assert!(outcome.plan.hourly_cost <= 1.0 + 1e-9);
-        assert_eq!(replanner.history().len(), 1);
         assert_eq!(replanner.next_due(), now + SimDuration::from_mins(30));
         assert!(!replanner.is_due(now + SimDuration::from_mins(29)));
     }
@@ -734,7 +729,7 @@ mod tests {
             .expect("round 3");
         assert!(r3.warm);
         // Warm rounds still deliver feasible, budget-respecting plans.
-        for outcome in replanner.history() {
+        for outcome in [&r1, &r2, &r3] {
             assert!(outcome.front_size >= 1);
             assert!(outcome.plan.hourly_cost <= 1.0 + 1e-9);
         }

@@ -39,7 +39,6 @@
 //! golden trace byte-for-byte.
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod broker;
 pub mod runner;

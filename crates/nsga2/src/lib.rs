@@ -58,7 +58,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod algorithm;
 pub mod archive;

@@ -37,7 +37,6 @@
 //! rejects.
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod event;
 pub mod jsonl;

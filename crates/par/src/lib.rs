@@ -37,7 +37,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 use std::num::NonZeroUsize;
 

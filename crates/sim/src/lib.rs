@@ -45,7 +45,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod conf;
 #[cfg(clippy)]
@@ -55,6 +54,6 @@ pub mod scheduler;
 pub mod testkit;
 pub mod time;
 
-pub use rng::SimRng;
+pub use rng::{SimRng, WeightTable};
 pub use scheduler::{EventHandle, Scheduler};
 pub use time::{SimDuration, SimTime};

@@ -33,7 +33,6 @@
 //!   [Padala et al. 2007] that the paper compares against.
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod correlation;
 pub mod descriptive;

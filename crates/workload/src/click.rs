@@ -7,7 +7,7 @@
 //! partition key — which is what spreads (or skews) load across Kinesis
 //! shards downstream.
 
-use flower_sim::{SimRng, SimTime};
+use flower_sim::{SimRng, SimTime, WeightTable};
 
 use crate::arrival::ArrivalProcess;
 
@@ -108,15 +108,18 @@ impl Default for ClickStreamConfig {
 pub struct ClickStreamGenerator {
     config: ClickStreamConfig,
     rng: SimRng,
-    /// Pre-computed Zipf CDF weights over pages.
-    page_weights: Vec<f64>,
-    /// Sparse per-user session state: (user, session counter, remaining
-    /// views in session). Kept small via a bounded LRU-ish ring.
+    /// Zipf popularity weights over pages.
+    pages: WeightTable,
+    /// Relative frequencies of [`EventKind::ALL`].
+    kinds: WeightTable,
+    /// The sessions currently emitting records, in the order they
+    /// started. The spawn rule caps it at 256; a session leaves the
+    /// moment its last view is drawn, so none is ever exhausted here.
     active: Vec<UserSession>,
     total_generated: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct UserSession {
     user_id: u64,
     session_id: u64,
@@ -138,7 +141,8 @@ impl ClickStreamGenerator {
         ClickStreamGenerator {
             config,
             rng,
-            page_weights,
+            pages: WeightTable::new(&page_weights),
+            kinds: WeightTable::new(&EventKind::WEIGHTS),
             active: Vec::new(),
             total_generated: 0,
         }
@@ -175,11 +179,9 @@ impl ClickStreamGenerator {
     pub fn generate(&mut self, t: SimTime, count: u64) -> Vec<ClickRecord> {
         let mut out = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            let session = self.next_session_slot();
-            let user_id = session.user_id;
-            let session_id = session.session_id;
-            let page = self.rng.weighted_index(&self.page_weights) as u32;
-            let kind = EventKind::ALL[self.rng.weighted_index(&EventKind::WEIGHTS)];
+            let (user_id, session_id) = self.next_session_slot();
+            let page = self.rng.weighted_index(&self.pages) as u32;
+            let kind = EventKind::ALL[self.rng.weighted_index(&self.kinds)];
             let payload_bytes = self
                 .rng
                 .normal(
@@ -200,11 +202,9 @@ impl ClickStreamGenerator {
         out
     }
 
-    /// Pick (or create) the session that emits the next record, and
-    /// decrement its remaining view count.
-    fn next_session_slot(&mut self) -> UserSession {
-        // Retire exhausted sessions lazily.
-        self.active.retain(|s| s.remaining > 0);
+    /// Pick (or create) the session that emits the next record, spend
+    /// one of its views, and return its `(user, session)` ids.
+    fn next_session_slot(&mut self) -> (u64, u64) {
         // Keep a modest pool of concurrently active sessions; new ones
         // join when the pool is small or by chance, modelling user churn.
         let spawn = self.active.is_empty() || (self.active.len() < 256 && self.rng.chance(0.15));
@@ -226,8 +226,16 @@ impl ClickStreamGenerator {
             });
         }
         let idx = self.rng.below(self.active.len() as u64) as usize;
-        self.active[idx].remaining -= 1;
-        self.active[idx].clone()
+        let session = &mut self.active[idx];
+        session.remaining -= 1;
+        let ids = (session.user_id, session.session_id);
+        // Only the picked session is ever spent and none joins empty
+        // (`geometric` is at least 1), so this is the one session that can
+        // be exhausted; removing it in place keeps the pool's order.
+        if session.remaining == 0 {
+            self.active.remove(idx);
+        }
+        ids
     }
 }
 

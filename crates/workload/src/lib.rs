@@ -29,7 +29,6 @@
 //!   re-run bit-identically from a file.
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod arrival;
 pub mod click;

@@ -13,6 +13,7 @@ use flower_core::monitor::CrossPlatformMonitor;
 use flower_core::prelude::*;
 use flower_core::share::{Constraint, ShareProblem};
 use flower_nsga2::Nsga2Config;
+use flower_obs::{kind, Recorder};
 use flower_sim::{SimDuration, SimTime};
 
 #[test]
@@ -182,20 +183,28 @@ fn replanner_updates_bounds_during_an_episode() {
         .workload(Workload::diurnal(1_800.0, 1_400.0))
         .replanner(replanner)
         .seed(6)
+        .recorder(Recorder::with_capacity(65_536))
         .build()
         .unwrap();
     let report = manager.run_for_mins(90);
 
-    // The replanner fired at 20, 40, 60, 80 minutes.
-    let rounds = manager.replan_history();
+    // The replanner fired at 20, 40, 60, 80 minutes; its outcomes are
+    // the trace's `replan.outcome` events.
+    assert_eq!(manager.recorder().dropped(), 0);
+    let rounds: Vec<_> = manager
+        .recorder()
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == kind::REPLAN_OUTCOME)
+        .collect();
     assert!(
         (3..=5).contains(&rounds.len()),
         "expected ~4 replan rounds, got {}",
         rounds.len()
     );
-    for round in rounds {
-        assert!(round.plan.hourly_cost <= 1.0 + 1e-9);
-        assert!(round.front_size >= 1);
+    for round in &rounds {
+        assert!(round.f64("hourly_cost").unwrap() <= 1.0 + 1e-9);
+        assert!(round.f64("front_size").unwrap() >= 1.0);
     }
     // With the plan's shares as maximum bounds, the deployment can never
     // spend more per hour than the budget (plus the cheapest layer's
