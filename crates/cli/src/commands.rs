@@ -816,8 +816,8 @@ fn fleet_run(args: &Args) -> CmdResult {
     let report = fleet.run(exec)?;
 
     println!(
-        "\n{} rebroker point(s), {} overspent window(s), total spend ${:.4}",
-        report.rebrokers, report.overspends, report.total_spend
+        "\n{} rebroker point(s), {} overspent window(s), {} tenant(s) re-run, total spend ${:.4}",
+        report.rebrokers, report.overspends, report.reruns, report.total_spend
     );
     let mut by_spend: Vec<&flower_fleet::FlowOutcome> = report.flows.iter().collect();
     by_spend.sort_by(|a, b| b.spend.total_cmp(&a.spend).then_with(|| a.id.cmp(&b.id)));

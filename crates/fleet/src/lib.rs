@@ -31,12 +31,13 @@
 //! An `ElasticityManager` is `!Send` (its recorder is an `Rc` ring
 //! buffer), so a flow's entire episode runs inside *one* worker
 //! closure, built from plain `Send` data and returning plain `Send`
-//! results ([`flower_obs::FlightSnapshot`]). Collection is ordered, the
-//! broker timeline is a pure function of the spec, and the merged trace
-//! orders events by `(fleet time, registry index, seq)` — so the same
-//! seed produces a **byte-identical** merged trace at any
-//! `FLOWER_THREADS`, and a 1-flow fleet reproduces the single-episode
-//! golden trace byte-for-byte.
+//! results (the flow's trace rendered as a
+//! [`flower_obs::RenderedStream`]). Collection is ordered, the broker
+//! timeline is a pure function of the spec, and the merged trace orders
+//! events by `(fleet time, registry index, seq)` — so the same seed
+//! produces a **byte-identical** merged trace at any `FLOWER_THREADS`,
+//! and a 1-flow fleet's tenant lines reproduce the single-episode golden
+//! trace byte-for-byte (less `seq` and the `flow` stamp).
 
 #![deny(missing_docs)]
 

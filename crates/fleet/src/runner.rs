@@ -6,10 +6,10 @@
 //! a [`flower_sim::Scheduler`] via `run_next_instant`), then fans the
 //! flows out over [`flower_par::Executor`] — one worker closure per
 //! flow, because an `ElasticityManager` is `!Send` and must live and
-//! die on a single thread. Workers return plain `Send` results
-//! (spend samples, a [`flower_obs::FlightSnapshot`], the per-flow JSONL
-//! document), which the control thread folds — in registry order — into
-//! the merged fleet trace.
+//! die on a single thread. Workers return plain `Send` results (spend
+//! samples and the flow's trace already rendered for the merge, a
+//! [`flower_obs::RenderedStream`]), which the control thread splices —
+//! in registry order — into the merged fleet trace.
 //!
 //! ## Overspend rebrokering
 //!
@@ -19,10 +19,13 @@
 //! thread then compares each settle window's spend against its
 //! allocation; overspent windows earn the tenant a penalty factor
 //! (`allowed/spent`, clamped to `[0.25, 1]`) that scales its claim from
-//! that window's end onward. The *final* pass re-runs the fleet under
-//! the penalized timeline and produces the traces. Both passes are
-//! deterministic, so the merged trace stays byte-identical at any
-//! `FLOWER_THREADS`.
+//! that window's end onward. The *overspend* pass recomputes the
+//! timeline under the penalties and re-runs only the tenants whose
+//! [`EpisodePlan`] changed; every other tenant keeps its probe run.
+//! That is exact: a fresh manager on the deterministic core emits the
+//! same bytes for equal inputs, and a tenant without a replanner has no
+//! budget input at all. Both passes are deterministic, so the merged
+//! trace stays byte-identical at any `FLOWER_THREADS`.
 //!
 //! ## Budget application
 //!
@@ -42,7 +45,7 @@ use flower_core::flow::clickstream_flow;
 use flower_core::replan::{PlanSelection, ReplanConfig, Replanner};
 use flower_core::share::ShareProblem;
 use flower_nsga2::Nsga2Config;
-use flower_obs::{merge_streams, FlightSnapshot, Recorder, TraceStream};
+use flower_obs::{merge_rendered, Recorder, RenderedStream};
 use flower_par::Executor;
 use flower_sim::{Scheduler, SimDuration, SimTime};
 
@@ -87,22 +90,32 @@ struct DecisionPoint {
     allocs: Vec<(usize, u64)>,
 }
 
-/// Everything a worker needs to run one flow's episode: plain `Send`
-/// data derived from the spec and the broker timeline.
-#[derive(Debug, Clone)]
-struct WorkerPlan {
-    idx: usize,
-    tenant: TenantSpec,
+impl DecisionPoint {
+    /// Flow `i`'s allocation at this point, when it is active. `allocs`
+    /// is in registry order, so this is a binary search.
+    fn alloc_of(&self, i: usize) -> Option<u64> {
+        self.allocs
+            .binary_search_by_key(&i, |&(j, _)| j)
+            .ok()
+            .map(|k| self.allocs[k].1)
+    }
+}
+
+/// Everything that determines one flow's episode: plain `Send` data
+/// derived from the spec and the broker timeline. Budgets are
+/// micro-dollars, so two plans compare equal exactly when the episodes
+/// they drive are identical.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct EpisodePlan {
+    /// Registry index of the tenant.
+    tenant: usize,
     duration: SimDuration,
     /// Budget applied before the episode starts (when the join-time
     /// allocation differs from the tenant's configured budget).
-    initial_budget: Option<f64>,
+    initial_budget: Option<u64>,
     /// `(local instant, budget to apply afterwards)` — one entry per
     /// decision boundary inside the episode, in time order.
-    steps: Vec<(SimTime, Option<f64>)>,
-    /// Micro-dollar allocation in force during each spend window
-    /// (`steps.len() + 1` windows: join→step₀, …, stepₙ→end).
-    window_rates: Vec<u64>,
+    steps: Vec<(SimTime, Option<u64>)>,
 }
 
 /// What a worker ships back: `Send` results only.
@@ -114,8 +127,9 @@ struct FlowRun {
     emitted: u64,
     /// `(local ms, cumulative dollars)` at each boundary and at the end.
     samples: Vec<(u64, f64)>,
-    trace: String,
-    snapshot: FlightSnapshot,
+    /// The flow's events, rendered on the fleet clock with its `flow`
+    /// stamp.
+    stream: RenderedStream,
 }
 
 /// Outcome of one tenant's episode in the final pass.
@@ -131,9 +145,6 @@ pub struct FlowOutcome {
     pub accepted_records: u64,
     /// Trace events emitted by the flow's recorder.
     pub events_emitted: u64,
-    /// The flow's own `flower-trace/v1` document (local episode clock;
-    /// for a 1-flow fleet this is byte-identical to a standalone run).
-    pub trace: String,
     /// `(fleet instant, hourly allocation)` applied in the final pass.
     pub allocations: Vec<(SimTime, f64)>,
 }
@@ -151,6 +162,9 @@ pub struct FleetReport {
     pub rebrokers: u64,
     /// Overspent settle windows detected by the probe pass.
     pub overspends: u64,
+    /// Tenants the overspend pass re-ran because their episode inputs
+    /// changed (the rest kept their probe runs).
+    pub reruns: u64,
     /// Total dollars spent across the fleet.
     pub total_spend: f64,
 }
@@ -305,8 +319,11 @@ impl Fleet {
         points
     }
 
-    /// Derive per-flow worker plans from a broker timeline.
-    fn plans(&self, timeline: &[DecisionPoint]) -> Vec<WorkerPlan> {
+    /// Derive each flow's episode plan from a broker timeline, and the
+    /// micro-dollar allocation in force during each of its spend windows
+    /// (`steps.len() + 1` windows: join→step₀, …, stepₙ→end), which only
+    /// the probe pass reads.
+    fn plans(&self, timeline: &[DecisionPoint]) -> (Vec<EpisodePlan>, Vec<Vec<u64>>) {
         self.spec
             .flows
             .iter()
@@ -318,44 +335,41 @@ impl Fleet {
                 let has_replan = flow.episode.replan.is_some();
                 let mut applied = configured;
                 let mut initial_budget = None;
-                let mut steps: Vec<(SimTime, Option<f64>)> = Vec::new();
+                let mut steps: Vec<(SimTime, Option<u64>)> = Vec::new();
                 let mut window_rates: Vec<u64> = Vec::new();
                 let mut current_rate = 0u64;
                 for point in timeline {
-                    let Some(&(_, alloc)) = point.allocs.iter().find(|&&(j, _)| j == i) else {
+                    let Some(alloc) = point.alloc_of(i) else {
                         continue;
                     };
                     let reassign = has_replan && alloc > 0 && alloc != applied;
                     if point.at <= flow.join {
                         current_rate = alloc;
                         if reassign {
-                            initial_budget = Some(from_micro(alloc));
+                            initial_budget = Some(alloc);
                             applied = alloc;
                         }
                     } else if point.at < end {
                         let local = SimTime::ZERO + point.at.since(flow.join);
                         window_rates.push(current_rate);
                         current_rate = alloc;
-                        let budget = if reassign {
+                        let budget = reassign.then(|| {
                             applied = alloc;
-                            Some(from_micro(alloc))
-                        } else {
-                            None
-                        };
+                            alloc
+                        });
                         steps.push((local, budget));
                     }
                 }
                 window_rates.push(current_rate);
-                WorkerPlan {
-                    idx: i,
-                    tenant: flow.clone(),
+                let plan = EpisodePlan {
+                    tenant: i,
                     duration,
                     initial_budget,
                     steps,
-                    window_rates,
-                }
+                };
+                (plan, window_rates)
             })
-            .collect()
+            .unzip()
     }
 
     /// Run the fleet on `exec` workers. Same spec + same seeds ⇒
@@ -371,14 +385,16 @@ impl Fleet {
         let n = self.spec.flows.len();
         let mut penalties: Vec<Vec<(SimTime, f64)>> = vec![Vec::new(); n];
         let mut overspends = 0u64;
+        let mut reruns = 0u64;
 
-        let probe_timeline = self.timeline(&penalties);
-        let probe_plans = self.plans(&probe_timeline);
+        let mut timeline = self.timeline(&penalties);
+        let (probe_plans, window_rates) = self.plans(&timeline);
         let mut runs = self.fan_out(exec, &probe_plans)?;
 
         if self.spec.overspend {
-            for (plan, run) in probe_plans.iter().zip(&runs) {
-                for (w, rate) in plan.window_rates.iter().enumerate() {
+            for ((plan, rates), run) in probe_plans.iter().zip(&window_rates).zip(&runs) {
+                let flow = &self.spec.flows[plan.tenant];
+                for (w, rate) in rates.iter().enumerate() {
                     let Some((&(t0, c0), &(t1, c1))) =
                         run.samples.get(w).zip(run.samples.get(w + 1))
                     else {
@@ -389,33 +405,45 @@ impl Fleet {
                     if allowed > 0.0 && spent > allowed {
                         overspends += 1;
                         let factor = (allowed / spent).clamp(0.25, 1.0);
-                        let effective = plan.tenant.join + SimDuration::from_millis(t1);
-                        penalties[plan.idx].push((effective, factor));
+                        let effective = flow.join + SimDuration::from_millis(t1);
+                        penalties[plan.tenant].push((effective, factor));
                     }
                 }
             }
             if overspends > 0 {
-                let final_timeline = self.timeline(&penalties);
-                let final_plans = self.plans(&final_timeline);
-                runs = self.fan_out(exec, &final_plans)?;
-                return Ok(self.assemble(&final_timeline, &final_plans, runs, overspends));
+                timeline = self.timeline(&penalties);
+                let (final_plans, _) = self.plans(&timeline);
+                let changed: Vec<EpisodePlan> = final_plans
+                    .into_iter()
+                    .zip(&probe_plans)
+                    .filter(|(final_plan, probe_plan)| final_plan != *probe_plan)
+                    .map(|(final_plan, _)| final_plan)
+                    .collect();
+                let rerun = self.fan_out(exec, &changed)?;
+                for (plan, run) in changed.iter().zip(rerun) {
+                    runs[plan.tenant] = run;
+                }
+                reruns = changed.len() as u64;
             }
         }
-        let plans = probe_plans;
-        let timeline = probe_timeline;
-        Ok(self.assemble(&timeline, &plans, runs, overspends))
+        Ok(self.assemble(&timeline, runs, overspends, reruns))
     }
 
-    /// Fan the plans out over the executor, collecting in registry
-    /// order; the first failing flow aborts the run.
-    fn fan_out(&self, exec: Executor, plans: &[WorkerPlan]) -> Result<Vec<FlowRun>, FleetError> {
-        let results: Vec<Result<FlowRun, String>> = exec.par_map(plans, |_, plan| run_flow(plan));
+    /// Fan the plans out over the executor, collecting in plan order;
+    /// the first failing flow aborts the run.
+    fn fan_out(&self, exec: Executor, plans: &[EpisodePlan]) -> Result<Vec<FlowRun>, FleetError> {
+        let flows = &self.spec.flows;
+        let results: Vec<Result<FlowRun, String>> =
+            exec.par_map(plans, |_, plan| run_flow(&flows[plan.tenant], plan));
         let mut runs = Vec::with_capacity(results.len());
         for (plan, result) in plans.iter().zip(results) {
             match result {
                 Ok(run) => runs.push(run),
                 Err(msg) => {
-                    return Err(FleetError(format!("flow `{}`: {msg}", plan.tenant.id)));
+                    return Err(FleetError(format!(
+                        "flow `{}`: {msg}",
+                        flows[plan.tenant].id
+                    )));
                 }
             }
         }
@@ -423,13 +451,13 @@ impl Fleet {
     }
 
     /// Emit the fleet-level broker events and fold everything into the
-    /// final report.
+    /// final report; `runs` is in registry order.
     fn assemble(
         &self,
         timeline: &[DecisionPoint],
-        plans: &[WorkerPlan],
         runs: Vec<FlowRun>,
         overspends: u64,
+        reruns: u64,
     ) -> FleetReport {
         let recorder = Recorder::with_capacity(self.spec.capacity);
         for point in timeline {
@@ -473,44 +501,31 @@ impl Fleet {
         recorder.gauge("fleet.flows", self.spec.flows.len() as f64);
 
         let mut streams = Vec::with_capacity(runs.len() + 1);
-        streams.push(TraceStream {
-            flow: None,
-            offset: SimDuration::ZERO,
-            snapshot: recorder.snapshot(),
-        });
+        streams.push(recorder.render_stream(None, SimDuration::ZERO));
         let mut flows = Vec::with_capacity(runs.len());
         let mut total_spend = 0.0;
-        for (plan, run) in plans.iter().zip(runs) {
+        for ((i, flow), run) in self.spec.flows.iter().enumerate().zip(runs) {
             total_spend += run.spend;
             let allocations = timeline
                 .iter()
-                .filter_map(|p| {
-                    p.allocs
-                        .iter()
-                        .find(|&&(j, _)| j == plan.idx)
-                        .map(|&(_, a)| (p.at, from_micro(a)))
-                })
+                .filter_map(|p| p.alloc_of(i).map(|a| (p.at, from_micro(a))))
                 .collect();
-            streams.push(TraceStream {
-                flow: Some(plan.tenant.id.as_str().to_owned()),
-                offset: plan.tenant.join.since(SimTime::ZERO),
-                snapshot: run.snapshot,
-            });
+            streams.push(run.stream);
             flows.push(FlowOutcome {
-                id: plan.tenant.id.clone(),
+                id: flow.id.clone(),
                 spend: run.spend,
                 offered_records: run.offered,
                 accepted_records: run.accepted,
                 events_emitted: run.emitted,
-                trace: run.trace,
                 allocations,
             });
         }
         FleetReport {
             flows,
-            merged_trace: merge_streams(&streams),
+            merged_trace: merge_rendered(&streams),
             rebrokers: timeline.len() as u64,
             overspends,
+            reruns,
             total_spend,
         }
     }
@@ -528,10 +543,10 @@ fn penalty_at(entries: &[(SimTime, f64)], at: SimTime) -> f64 {
 
 /// Run one flow's whole episode on the calling thread (the `!Send`
 /// boundary: manager, recorder, and scheduler never leave it).
-fn run_flow(plan: &WorkerPlan) -> Result<FlowRun, String> {
-    let mut manager = build_manager(&plan.tenant)?;
+fn run_flow(tenant: &TenantSpec, plan: &EpisodePlan) -> Result<FlowRun, String> {
+    let mut manager = build_manager(tenant)?;
     if let Some(budget) = plan.initial_budget {
-        let _ = manager.set_budget(budget);
+        let _ = manager.set_budget(from_micro(budget));
     }
     manager.start_episode(plan.duration);
     let mut samples = Vec::with_capacity(plan.steps.len() + 2);
@@ -540,7 +555,7 @@ fn run_flow(plan: &WorkerPlan) -> Result<FlowRun, String> {
         manager.run_until(local);
         samples.push((local.as_millis(), manager.cost_so_far()));
         if let Some(budget) = budget {
-            let _ = manager.set_budget(budget);
+            let _ = manager.set_budget(from_micro(budget));
         }
     }
     manager.run_until(SimTime::ZERO + plan.duration);
@@ -552,8 +567,9 @@ fn run_flow(plan: &WorkerPlan) -> Result<FlowRun, String> {
         accepted: report.accepted_records,
         emitted: manager.recorder().emitted(),
         samples,
-        trace: manager.recorder().to_jsonl(),
-        snapshot: manager.recorder().snapshot(),
+        stream: manager
+            .recorder()
+            .render_stream(Some(tenant.id.as_str()), tenant.join.since(SimTime::ZERO)),
     })
 }
 

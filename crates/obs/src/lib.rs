@@ -46,8 +46,10 @@ pub mod recorder;
 
 pub use event::{kind, Event, FieldValue};
 pub use jsonl::{event_line, json_f64, json_str};
-pub use merge::{merge_streams, FlightSnapshot, TraceStream, FLOW_FIELD};
+pub use merge::{
+    merge_rendered, merge_streams, FlightSnapshot, RenderedStream, TraceStream, FLOW_FIELD,
+};
 pub use reader::{
     parse_json, parse_trace, FollowItem, JsonValue, Trace, TraceEvent, TraceFollower,
 };
-pub use recorder::{EventSink, Histogram, Recorder, SpanId, SpanStats, DROPPED_COUNTER};
+pub use recorder::{EventSink, Histogram, Recorder, SpanId, SpanStats, Summary, DROPPED_COUNTER};

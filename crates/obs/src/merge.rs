@@ -3,38 +3,39 @@
 //! A fleet run produces one recorder per flow (filled on whichever
 //! `flower-par` worker ran the flow's episode) plus a fleet-level
 //! recorder for broker events. This module folds those streams into a
-//! single `flower-trace/v1` document:
+//! single `flower-trace/v1` document in two steps:
 //!
-//! * each stream is first frozen into a [`FlightSnapshot`] — a plain,
-//!   `Send` value ([`crate::Recorder`] itself is `!Send`), so workers
-//!   can snapshot on their own thread and ship the result back;
-//! * events are merged in `(fleet time, stream index, seq)` order and
-//!   re-sequenced `0..n`, so the merged document satisfies the schema's
-//!   strictly-increasing-seq / non-decreasing-time rules;
-//! * events from a labeled stream are stamped with a `flow` field so
-//!   `flower trace --flow` can demux them back out;
-//! * counters sum, gauges keep their maximum, histograms add
-//!   bucket-wise, and span aggregates fold — and the header keeps the
-//!   `emitted == events + dropped` accounting because each input stream
-//!   already satisfies it.
+//! * **render** — each stream becomes a [`RenderedStream`]: every event
+//!   line after its `{"seq":N,`, already shifted onto the fleet clock and
+//!   stamped with a `flow` field (so `flower trace --flow` can demux it),
+//!   plus the header counts and the summary. A worker renders its own
+//!   recorder ([`crate::Recorder::render_stream`]) and ships the plain,
+//!   `Send` result back; [`crate::Recorder`] itself is `!Send`;
+//! * **splice** — [`merge_rendered`] orders the events by `(fleet time,
+//!   stream index, position)`, writes `{"seq":N,` with `N` counting
+//!   `0..n` and copies each body after it, so the merged document
+//!   satisfies the schema's strictly-increasing-seq /
+//!   non-decreasing-time rules. Counters sum, gauges keep their maximum,
+//!   histograms add bucket-wise, and span aggregates fold; the header
+//!   keeps the `emitted == events + dropped` accounting because each
+//!   input stream already satisfies it.
 //!
-//! The merge is a pure function of the snapshots, so the merged bytes
-//! are identical for any `FLOWER_THREADS` as long as each stream is.
-
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+//! [`merge_streams`] takes frozen [`FlightSnapshot`]s instead and runs
+//! the same two steps. The merge is a pure function of its inputs, so
+//! the merged bytes are identical for any `FLOWER_THREADS` as long as
+//! each stream is.
 
 use flower_sim::{SimDuration, SimTime};
 
-use crate::event::{Event, FieldValue};
-use crate::jsonl::{event_line, json_f64, json_str, SCHEMA};
-use crate::recorder::{Histogram, SpanStats};
+use crate::event::Event;
+use crate::jsonl::{write_event_body, write_header, write_seq, write_summary};
+use crate::recorder::Summary;
 
 /// A frozen, thread-transferable copy of one recorder's state.
 ///
 /// Produced by [`crate::Recorder::snapshot`]; consumed by
 /// [`merge_streams`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlightSnapshot {
     /// Ring-buffer capacity of the source recorder.
     pub capacity: usize,
@@ -44,14 +45,8 @@ pub struct FlightSnapshot {
     pub dropped: u64,
     /// The surviving events, oldest first.
     pub events: Vec<Event>,
-    /// Monotonic counters, name-ordered.
-    pub counters: BTreeMap<&'static str, u64>,
-    /// Gauges, name-ordered.
-    pub gauges: BTreeMap<&'static str, f64>,
-    /// Histograms, name-ordered.
-    pub histograms: BTreeMap<&'static str, Histogram>,
-    /// Closed-span aggregates, name-ordered.
-    pub spans: BTreeMap<String, SpanStats>,
+    /// Counters, gauges, histograms and closed-span aggregates.
+    pub summary: Summary,
 }
 
 /// One input stream of a merge: a snapshot plus its fleet placement.
@@ -71,149 +66,120 @@ pub struct TraceStream {
 /// The field key used to stamp per-flow events in a merged trace.
 pub const FLOW_FIELD: &str = "flow";
 
-/// Merge streams into one `flower-trace/v1` JSONL document.
+/// One stream rendered for [`merge_rendered`]; built by
+/// [`crate::Recorder::render_stream`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RenderedStream {
+    capacity: u64,
+    emitted: u64,
+    dropped: u64,
+    /// Every event's line after `{"seq":N,`, newline included, back to
+    /// back in stream order.
+    bodies: String,
+    /// Per event: its fleet time and the end of its body in `bodies`.
+    events: Vec<(SimTime, usize)>,
+    summary: Summary,
+}
+
+impl RenderedStream {
+    /// Render `events` at fleet time `at + offset`, stamped with `flow`.
+    pub(crate) fn render<'a>(
+        capacity: usize,
+        emitted: u64,
+        dropped: u64,
+        events: impl IntoIterator<Item = &'a Event>,
+        summary: &Summary,
+        flow: Option<&str>,
+        offset: SimDuration,
+    ) -> RenderedStream {
+        let mut bodies = String::new();
+        let mut index = Vec::new();
+        for event in events {
+            let at = event.at + offset;
+            write_event_body(&mut bodies, event, at.as_millis(), flow);
+            bodies.push('\n');
+            index.push((at, bodies.len()));
+        }
+        RenderedStream {
+            capacity: capacity as u64,
+            emitted,
+            dropped,
+            bodies,
+            events: index,
+            summary: summary.clone(),
+        }
+    }
+}
+
+impl FlightSnapshot {
+    fn render(&self, flow: Option<&str>, offset: SimDuration) -> RenderedStream {
+        RenderedStream::render(
+            self.capacity,
+            self.emitted,
+            self.dropped,
+            &self.events,
+            &self.summary,
+            flow,
+            offset,
+        )
+    }
+}
+
+/// Merge snapshot streams into one `flower-trace/v1` JSONL document:
+/// each is rendered, then spliced by [`merge_rendered`].
 ///
-/// Events are ordered by `(offset-shifted time, stream index, original
-/// seq)` and re-sequenced; ties across streams break by the caller's
-/// stream order, so callers must present streams in a stable order
-/// (the fleet runner uses: fleet stream first, then flows in `FlowId`
-/// order).
+/// Events are ordered by `(offset-shifted time, stream index, position
+/// in the stream)` and re-sequenced; ties across streams break by the
+/// caller's stream order, so callers must present streams in a stable
+/// order (the fleet runner uses: fleet stream first, then flows in
+/// `FlowId` order).
 #[must_use]
 pub fn merge_streams(streams: &[TraceStream]) -> String {
-    // Ordered event index: (fleet time, stream idx, original seq).
-    let mut order: Vec<(SimTime, usize, u64)> = Vec::new();
+    let rendered: Vec<RenderedStream> = streams
+        .iter()
+        .map(|s| s.snapshot.render(s.flow.as_deref(), s.offset))
+        .collect();
+    merge_rendered(&rendered)
+}
+
+/// Splice rendered streams into one `flower-trace/v1` JSONL document,
+/// ordering events by `(fleet time, stream index, position)` and
+/// re-sequencing them `0..n` (see the [module docs](self)).
+#[must_use]
+pub fn merge_rendered(streams: &[RenderedStream]) -> String {
+    let total: usize = streams.iter().map(|s| s.events.len()).sum();
+    let mut order: Vec<(SimTime, usize, usize)> = Vec::with_capacity(total);
     for (idx, stream) in streams.iter().enumerate() {
-        for event in &stream.snapshot.events {
-            let at = SimTime::from_millis(event.at.as_millis() + stream.offset.as_millis());
-            order.push((at, idx, event.seq));
-        }
+        order.extend(
+            stream
+                .events
+                .iter()
+                .enumerate()
+                .map(|(pos, &(at, _))| (at, idx, pos)),
+        );
     }
     order.sort_unstable();
 
-    let capacity: usize = streams.iter().map(|s| s.snapshot.capacity).sum();
-    let emitted: u64 = streams.iter().map(|s| s.snapshot.emitted).sum();
-    let dropped: u64 = streams.iter().map(|s| s.snapshot.dropped).sum();
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"schema\":{},\"capacity\":{capacity},\"events\":{},\"emitted\":{emitted},\"dropped\":{dropped}}}",
-        json_str(SCHEMA),
-        order.len(),
-    );
-
-    // Per-stream cursor into its (seq-ordered) event list; the sort is
-    // stable within a stream because seq is strictly increasing there.
-    let mut cursors = vec![0usize; streams.len()];
-    for (new_seq, &(at, idx, _)) in order.iter().enumerate() {
-        let stream = &streams[idx];
-        let mut event: Event = stream.snapshot.events[cursors[idx]].clone();
-        cursors[idx] += 1;
-        event.seq = new_seq as u64;
-        event.at = at;
-        if let Some(flow) = &stream.flow {
-            event
-                .fields
-                .insert(FLOW_FIELD, FieldValue::Str(flow.clone()));
-        }
-        out.push_str(&event_line(&event));
-        out.push('\n');
-    }
-
-    // Fold the summaries.
-    let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut gauges: BTreeMap<&'static str, f64> = BTreeMap::new();
-    let mut histograms: BTreeMap<&'static str, Histogram> = BTreeMap::new();
-    let mut spans: BTreeMap<String, SpanStats> = BTreeMap::new();
+    let mut summary = Summary::default();
+    let (mut capacity, mut emitted, mut dropped, mut bytes) = (0, 0, 0, 0);
     for stream in streams {
-        for (&name, &v) in &stream.snapshot.counters {
-            *counters.entry(name).or_insert(0) += v;
-        }
-        for (&name, &v) in &stream.snapshot.gauges {
-            gauges
-                .entry(name)
-                .and_modify(|g| *g = g.max(v))
-                .or_insert(v);
-        }
-        for (&name, h) in &stream.snapshot.histograms {
-            match histograms.get_mut(name) {
-                Some(acc) => {
-                    acc.count += h.count;
-                    acc.sum += h.sum;
-                    acc.min = acc.min.min(h.min);
-                    acc.max = acc.max.max(h.max);
-                    for (slot, add) in acc.buckets.iter_mut().zip(h.buckets.iter()) {
-                        *slot += add;
-                    }
-                }
-                None => {
-                    histograms.insert(name, h.clone());
-                }
-            }
-        }
-        for (name, s) in &stream.snapshot.spans {
-            let acc = spans.entry(name.clone()).or_insert(SpanStats {
-                count: 0,
-                total: SimDuration::ZERO,
-                max: SimDuration::ZERO,
-            });
-            acc.count += s.count;
-            acc.total += s.total;
-            acc.max = acc.max.max(s.max);
-        }
+        capacity += stream.capacity;
+        emitted += stream.emitted;
+        dropped += stream.dropped;
+        bytes += stream.bodies.len();
+        summary.fold(&stream.summary);
     }
-
-    out.push_str("{\"summary\":{\"counters\":{");
-    for (i, (name, value)) in counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}:{value}", json_str(name));
+    // Each spliced line adds `{"seq":N,` (at most 28 bytes) to its body.
+    let mut out = String::with_capacity(bytes + 28 * total + 4096);
+    write_header(&mut out, capacity, total as u64, emitted, dropped);
+    for (seq, &(_, idx, pos)) in order.iter().enumerate() {
+        let stream = &streams[idx];
+        let start = pos.checked_sub(1).map_or(0, |prev| stream.events[prev].1);
+        let end = stream.events[pos].1;
+        write_seq(&mut out, seq as u64);
+        out.push_str(&stream.bodies[start..end]);
     }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, value)) in gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}:{}", json_str(name), json_f64(*value));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-            json_str(name),
-            h.count,
-            json_f64(h.sum),
-            json_f64(h.min),
-            json_f64(h.max),
-        );
-        for (j, bucket) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{bucket}");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("},\"spans\":{");
-    for (i, (name, stats)) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{}:{{\"count\":{},\"total_ms\":{},\"max_ms\":{}}}",
-            json_str(name),
-            stats.count,
-            stats.total.as_millis(),
-            stats.max.as_millis(),
-        );
-    }
-    out.push_str("}}}\n");
+    write_summary(&mut out, &summary);
     out
 }
 
@@ -246,14 +212,76 @@ mod tests {
         assert_eq!(snap.emitted, 3);
         assert_eq!(snap.dropped, 0);
         assert_eq!(snap.events.len(), 3);
-        assert_eq!(snap.counters.get("n"), Some(&2));
-        assert_eq!(snap.gauges.get("g"), Some(&0.5));
-        assert_eq!(snap.histograms.get("h").map(|h| h.count), Some(1));
-        assert_eq!(snap.spans.get("s").map(|s| s.count), Some(1));
+        assert_eq!(snap.summary.counters.get("n"), Some(&2));
+        assert_eq!(snap.summary.gauges.get("g"), Some(&0.5));
+        assert_eq!(snap.summary.histograms.get("h").map(|h| h.count), Some(1));
+        assert_eq!(snap.summary.spans.get("s").map(|s| s.count), Some(1));
         // The snapshot type is Send — this is the property that lets
         // par workers ship recorder state across threads.
         fn assert_send<T: Send>(_: &T) {}
         assert_send(&snap);
+    }
+
+    #[test]
+    fn merge_writes_the_exact_bytes() {
+        // The fleet stream keeps its own `flow` field, unstamped.
+        let fleet = Recorder::with_capacity(4);
+        fleet.set_now(SimTime::from_secs(1));
+        fleet.emit("fleet.join", &[("flow", "a".into())]);
+
+        let a = Recorder::with_capacity(8);
+        a.set_now(SimTime::from_secs(1));
+        // Fields keyed before and after `flow`, one needing escapes.
+        a.emit(
+            "a.mixed",
+            &[("active", 2u64.into()), ("zone", "q\"x\n".into())],
+        );
+        a.emit("a.empty", &[]);
+        a.set_now(SimTime::from_secs(2));
+        // A `flow` field already present comes out once, restamped.
+        a.emit(
+            "a.restamp",
+            &[("flow", "stale".into()), ("lag", f64::NAN.into())],
+        );
+        a.count("n", 2);
+
+        // A ring of two that dropped two events, shifted by 1 s.
+        let b = Recorder::with_capacity(2);
+        for i in 0..4u64 {
+            b.emit("b.tick", &[("i", i.into()), ("neg", (-1i64).into())]);
+        }
+
+        let expected = concat!(
+            r#"{"schema":"flower-trace/v1","capacity":14,"events":6,"emitted":8,"dropped":2}"#,
+            "\n",
+            r#"{"seq":0,"t_ms":1000,"kind":"fleet.join","fields":{"flow":"a"}}"#,
+            "\n",
+            r#"{"seq":1,"t_ms":1000,"kind":"a.mixed","fields":{"active":2,"flow":"a","zone":"q\"x\n"}}"#,
+            "\n",
+            r#"{"seq":2,"t_ms":1000,"kind":"a.empty","fields":{"flow":"a"}}"#,
+            "\n",
+            r#"{"seq":3,"t_ms":1000,"kind":"b.tick","fields":{"flow":"b","i":2,"neg":-1}}"#,
+            "\n",
+            r#"{"seq":4,"t_ms":1000,"kind":"b.tick","fields":{"flow":"b","i":3,"neg":-1}}"#,
+            "\n",
+            r#"{"seq":5,"t_ms":2000,"kind":"a.restamp","fields":{"flow":"a","lag":null}}"#,
+            "\n",
+            r#"{"summary":{"counters":{"n":2,"trace.dropped":2},"gauges":{},"histograms":{},"spans":{}}}"#,
+            "\n",
+        );
+        let rendered = merge_rendered(&[
+            fleet.render_stream(None, SimDuration::ZERO),
+            a.render_stream(Some("a"), SimDuration::ZERO),
+            b.render_stream(Some("b"), SimDuration::from_secs(1)),
+        ]);
+        assert_eq!(rendered, expected);
+        let snapshots = merge_streams(&[
+            stream(None, 0, &fleet),
+            stream(Some("a"), 0, &a),
+            stream(Some("b"), 1, &b),
+        ]);
+        assert_eq!(snapshots, rendered);
+        crate::reader::parse_trace(&rendered).expect("merged doc parses");
     }
 
     #[test]

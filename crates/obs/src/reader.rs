@@ -147,28 +147,24 @@ impl Trace {
     /// two aggregate shapes — histogram and span objects in the summary —
     /// in the writer's fixed field order rather than key order.
     pub fn to_jsonl(&self) -> String {
-        use crate::jsonl::json_str;
-        use std::fmt::Write as _;
+        use crate::jsonl::{push_json_str, push_u64, write_header, write_seq};
 
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"schema\":{},\"capacity\":{},\"events\":{},\"emitted\":{},\"dropped\":{}}}",
-            json_str(crate::jsonl::SCHEMA),
+        write_header(
+            &mut out,
             self.capacity,
-            self.events.len(),
+            self.events.len() as u64,
             self.emitted,
             self.dropped,
         );
         for event in &self.events {
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"t_ms\":{},\"kind\":{},\"fields\":",
-                event.seq,
-                event.t_ms,
-                json_str(&event.kind),
-            );
-            write_json(&JsonValue::Obj(event.fields.clone()), &mut out);
+            write_seq(&mut out, event.seq);
+            out.push_str("\"t_ms\":");
+            push_u64(&mut out, event.t_ms);
+            out.push_str(",\"kind\":");
+            push_json_str(&mut out, &event.kind);
+            out.push_str(",\"fields\":");
+            write_object(&event.fields, &mut out);
             out.push_str("}\n");
         }
         out.push_str("{\"summary\":");
@@ -187,7 +183,7 @@ const SPAN_SHAPE: [&str; 3] = ["count", "total_ms", "max_ms"];
 /// the `histograms` and `spans` sections hold aggregate objects the
 /// writer emits in a fixed (non-alphabetical) field order.
 fn write_summary(value: &JsonValue, out: &mut String) {
-    use crate::jsonl::json_str;
+    use crate::jsonl::push_json_str;
     let Some(map) = value.as_obj() else {
         write_json(value, out);
         return;
@@ -197,7 +193,7 @@ fn write_summary(value: &JsonValue, out: &mut String) {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&json_str(key));
+        push_json_str(out, key);
         out.push(':');
         match (key.as_str(), v) {
             ("histograms", JsonValue::Obj(aggs)) => write_aggregates(aggs, &HISTOGRAM_SHAPE, out),
@@ -212,13 +208,13 @@ fn write_summary(value: &JsonValue, out: &mut String) {
 /// `shape` field order (falling back to generic serialization for a
 /// value that does not match the shape).
 fn write_aggregates(map: &BTreeMap<String, JsonValue>, shape: &[&str], out: &mut String) {
-    use crate::jsonl::json_str;
+    use crate::jsonl::push_json_str;
     out.push('{');
     for (i, (name, v)) in map.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&json_str(name));
+        push_json_str(out, name);
         out.push(':');
         match v.as_obj() {
             Some(obj) if obj.len() == shape.len() && shape.iter().all(|k| obj.contains_key(*k)) => {
@@ -227,7 +223,7 @@ fn write_aggregates(map: &BTreeMap<String, JsonValue>, shape: &[&str], out: &mut
                     if j > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_str(key));
+                    push_json_str(out, key);
                     out.push(':');
                     if let Some(field) = obj.get(*key) {
                         write_json(field, out);
@@ -244,12 +240,12 @@ fn write_aggregates(map: &BTreeMap<String, JsonValue>, shape: &[&str], out: &mut
 /// Serialize a parsed value back to the writer's byte format: maps in
 /// key order, floats via the shortest-round-trip `Display`.
 fn write_json(value: &JsonValue, out: &mut String) {
-    use crate::jsonl::{json_f64, json_str};
+    use crate::jsonl::{push_json_f64, push_json_str};
     match value {
         JsonValue::Null => out.push_str("null"),
         JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Num(n) => out.push_str(&json_f64(*n)),
-        JsonValue::Str(s) => out.push_str(&json_str(s)),
+        JsonValue::Num(n) => push_json_f64(out, *n),
+        JsonValue::Str(s) => push_json_str(out, s),
         JsonValue::Arr(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -260,19 +256,22 @@ fn write_json(value: &JsonValue, out: &mut String) {
             }
             out.push(']');
         }
-        JsonValue::Obj(map) => {
-            out.push('{');
-            for (i, (key, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_str(key));
-                out.push(':');
-                write_json(v, out);
-            }
-            out.push('}');
-        }
+        JsonValue::Obj(map) => write_object(map, out),
     }
+}
+
+/// Serialize an object in key order.
+fn write_object(map: &BTreeMap<String, JsonValue>, out: &mut String) {
+    out.push('{');
+    for (i, (key, v)) in map.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        crate::jsonl::push_json_str(out, key);
+        out.push(':');
+        write_json(v, out);
+    }
+    out.push('}');
 }
 
 /// One complete line surfaced by [`TraceFollower`].

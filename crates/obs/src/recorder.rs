@@ -24,6 +24,7 @@ use std::rc::Rc;
 use flower_sim::{SimDuration, SimTime};
 
 use crate::event::{kind, Event, FieldValue};
+use crate::merge::{FlightSnapshot, RenderedStream};
 
 /// Histogram decade-bucket upper edges (the last bucket is overflow).
 /// Comparisons only — no `log` calls — so bucketing is bit-exact.
@@ -92,6 +93,66 @@ pub struct SpanStats {
     pub max: SimDuration,
 }
 
+/// The aggregate half of a recorder, reported on the summary line:
+/// counters, gauges, histograms and closed-span aggregates, each
+/// name-ordered.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Summary {
+    /// Monotonic counters.
+    pub counters: BTreeMap<&'static str, u64>,
+    /// Gauges (last write wins).
+    pub gauges: BTreeMap<&'static str, f64>,
+    /// Histograms.
+    pub histograms: BTreeMap<&'static str, Histogram>,
+    /// Closed-span aggregates.
+    pub spans: BTreeMap<String, SpanStats>,
+}
+
+impl Summary {
+    /// Fold `other` into `self` the way a merged trace reports many
+    /// recorders: counters sum, gauges keep their maximum, histograms
+    /// add bucket-wise, and span aggregates fold.
+    pub(crate) fn fold(&mut self, other: &Summary) {
+        for (&name, &v) in &other.counters {
+            *self.counters.entry(name).or_insert(0) += v;
+        }
+        for (&name, &v) in &other.gauges {
+            self.gauges
+                .entry(name)
+                .and_modify(|g| *g = g.max(v))
+                .or_insert(v);
+        }
+        for (&name, h) in &other.histograms {
+            match self.histograms.get_mut(name) {
+                Some(acc) => {
+                    acc.count += h.count;
+                    acc.sum += h.sum;
+                    acc.min = acc.min.min(h.min);
+                    acc.max = acc.max.max(h.max);
+                    for (slot, add) in acc.buckets.iter_mut().zip(h.buckets.iter()) {
+                        *slot += add;
+                    }
+                }
+                None => {
+                    self.histograms.insert(name, h.clone());
+                }
+            }
+        }
+        for (name, s) in &other.spans {
+            match self.spans.get_mut(name.as_str()) {
+                Some(acc) => {
+                    acc.count += s.count;
+                    acc.total += s.total;
+                    acc.max = acc.max.max(s.max);
+                }
+                None => {
+                    self.spans.insert(name.clone(), *s);
+                }
+            }
+        }
+    }
+}
+
 /// Handle to an open span, returned by [`Recorder::span_enter`].
 ///
 /// A disabled recorder hands out an inert id; exiting it is a no-op.
@@ -126,12 +187,9 @@ pub(crate) struct Flight {
     pub(crate) capacity: usize,
     pub(crate) events: VecDeque<Event>,
     pub(crate) dropped: u64,
-    pub(crate) counters: BTreeMap<&'static str, u64>,
-    pub(crate) gauges: BTreeMap<&'static str, f64>,
-    pub(crate) histograms: BTreeMap<&'static str, Histogram>,
+    pub(crate) summary: Summary,
     next_span_id: u64,
     open_spans: BTreeMap<u64, OpenSpan>,
-    pub(crate) span_stats: BTreeMap<String, SpanStats>,
     sink: Option<Box<dyn EventSink>>,
 }
 
@@ -154,7 +212,7 @@ impl Flight {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
-            *self.counters.entry(DROPPED_COUNTER).or_insert(0) += 1;
+            *self.summary.counters.entry(DROPPED_COUNTER).or_insert(0) += 1;
         }
         self.events.push_back(event);
     }
@@ -185,12 +243,9 @@ impl Recorder {
                 capacity: capacity.max(1),
                 events: VecDeque::new(),
                 dropped: 0,
-                counters: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-                histograms: BTreeMap::new(),
+                summary: Summary::default(),
                 next_span_id: 0,
                 open_spans: BTreeMap::new(),
-                span_stats: BTreeMap::new(),
                 sink: None,
             }))),
         }
@@ -249,13 +304,13 @@ impl Recorder {
     /// Add `delta` to the monotonic counter `name`.
     pub fn count(&self, name: &'static str, delta: u64) {
         let Some(inner) = &self.inner else { return };
-        *inner.borrow_mut().counters.entry(name).or_insert(0) += delta;
+        *inner.borrow_mut().summary.counters.entry(name).or_insert(0) += delta;
     }
 
     /// Set the gauge `name` to `value` (last write wins).
     pub fn gauge(&self, name: &'static str, value: f64) {
         let Some(inner) = &self.inner else { return };
-        inner.borrow_mut().gauges.insert(name, value);
+        inner.borrow_mut().summary.gauges.insert(name, value);
     }
 
     /// Record one observation into the histogram `name`.
@@ -263,6 +318,7 @@ impl Recorder {
         let Some(inner) = &self.inner else { return };
         inner
             .borrow_mut()
+            .summary
             .histograms
             .entry(name)
             .or_insert_with(Histogram::new)
@@ -304,7 +360,8 @@ impl Recorder {
         };
         let duration = flight.now.since(open.started);
         let stats = flight
-            .span_stats
+            .summary
+            .spans
             .entry(open.name.clone())
             .or_insert(SpanStats {
                 count: 0,
@@ -365,7 +422,13 @@ impl Recorder {
     /// Current value of the counter `name` (0 when absent/disabled).
     pub fn counter(&self, name: &str) -> u64 {
         match &self.inner {
-            Some(inner) => inner.borrow().counters.get(name).copied().unwrap_or(0),
+            Some(inner) => inner
+                .borrow()
+                .summary
+                .counters
+                .get(name)
+                .copied()
+                .unwrap_or(0),
             None => 0,
         }
     }
@@ -376,6 +439,7 @@ impl Recorder {
         match &self.inner {
             Some(inner) => inner
                 .borrow()
+                .summary
                 .counters
                 .iter()
                 .map(|(&name, &value)| (name, value))
@@ -389,6 +453,7 @@ impl Recorder {
         match &self.inner {
             Some(inner) => inner
                 .borrow()
+                .summary
                 .gauges
                 .iter()
                 .map(|(&name, &value)| (name, value))
@@ -401,51 +466,63 @@ impl Recorder {
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
         self.inner
             .as_ref()
-            .and_then(|inner| inner.borrow().gauges.get(name).copied())
+            .and_then(|inner| inner.borrow().summary.gauges.get(name).copied())
     }
 
     /// Snapshot of the histogram `name`.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         self.inner
             .as_ref()
-            .and_then(|inner| inner.borrow().histograms.get(name).cloned())
+            .and_then(|inner| inner.borrow().summary.histograms.get(name).cloned())
     }
 
     /// Aggregate stats of closed spans named `name`.
     pub fn span_stats(&self, name: &str) -> Option<SpanStats> {
         self.inner
             .as_ref()
-            .and_then(|inner| inner.borrow().span_stats.get(name).copied())
+            .and_then(|inner| inner.borrow().summary.spans.get(name).copied())
     }
 
     /// Freeze the recorder into a plain, `Send`-able
-    /// [`crate::merge::FlightSnapshot`] for cross-thread trace merging.
-    /// A disabled recorder snapshots to an empty state.
-    pub fn snapshot(&self) -> crate::merge::FlightSnapshot {
+    /// [`FlightSnapshot`] for cross-thread trace merging. A disabled
+    /// recorder snapshots to an empty state.
+    pub fn snapshot(&self) -> FlightSnapshot {
         match &self.inner {
             Some(inner) => {
                 let flight = inner.borrow();
-                crate::merge::FlightSnapshot {
+                FlightSnapshot {
                     capacity: flight.capacity,
                     emitted: flight.next_seq,
                     dropped: flight.dropped,
                     events: flight.events.iter().cloned().collect(),
-                    counters: flight.counters.clone(),
-                    gauges: flight.gauges.clone(),
-                    histograms: flight.histograms.clone(),
-                    spans: flight.span_stats.clone(),
+                    summary: flight.summary.clone(),
                 }
             }
-            None => crate::merge::FlightSnapshot {
-                capacity: 0,
-                emitted: 0,
-                dropped: 0,
-                events: Vec::new(),
-                counters: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-                histograms: BTreeMap::new(),
-                spans: BTreeMap::new(),
-            },
+            None => FlightSnapshot::default(),
+        }
+    }
+
+    /// Render the buffered events as one input of
+    /// [`crate::merge::merge_rendered`]: each event line after its
+    /// `{"seq":N,`, shifted by `offset` onto the fleet clock and stamped
+    /// `flow` when given, plus the header counts and the summary. The
+    /// result is `Send`, so a worker can render its own recorder. A
+    /// disabled recorder renders an empty stream.
+    pub fn render_stream(&self, flow: Option<&str>, offset: SimDuration) -> RenderedStream {
+        match &self.inner {
+            Some(inner) => {
+                let flight = inner.borrow();
+                RenderedStream::render(
+                    flight.capacity,
+                    flight.next_seq,
+                    flight.dropped,
+                    &flight.events,
+                    &flight.summary,
+                    flow,
+                    offset,
+                )
+            }
+            None => RenderedStream::default(),
         }
     }
 
