@@ -11,9 +11,9 @@
 //! **E4 — the §3.3 controller comparison.**
 //!
 //! The paper claims its adaptive gain-memory controller "outperforms the
-//! state of the art fixed-gain [12] and quasi-adaptive [14]
+//! state of the art fixed-gain \[12\] and quasi-adaptive \[14\]
 //! counterparts" (experiments detailed in the companion journal paper
-//! [9]). This experiment reproduces the comparison's *shape* on three
+//! \[9\]). This experiment reproduces the comparison's *shape* on three
 //! workloads — step, flash crowd, and recurring bursts (MMPP) — scoring
 //! each controller on throttled records (elasticity speed), SLO
 //! violation rate, cost, and actuator oscillation.

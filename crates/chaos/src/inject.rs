@@ -1,6 +1,6 @@
 //! The deterministic fault injector.
 //!
-//! A [`FaultInjector`] evaluates a [`FaultPlan`](crate::FaultPlan)
+//! A [`FaultInjector`] evaluates a [`crate::FaultPlan`]
 //! against sensor reads and actuation requests. Randomized clauses draw
 //! from a **dedicated per-layer RNG stream**
 //! (`SimRng::seed(plan.seed).fork(1 + layer.position())`), so the draw a

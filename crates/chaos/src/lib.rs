@@ -22,20 +22,20 @@
 //!   (`SimRng::seed(seed).fork(1 + position)`), so traces stay
 //!   byte-identical at any worker count and adding a layer never
 //!   perturbs another layer's faults.
-//! * [`ChaosLayer`] — wraps any [`flower_cloud::LayerService`] so the
-//!   injector sits between the control plane and the service.
 //!
-//! Every injected fault emits a [`flower_obs::kind::CHAOS_FAULT`] event
-//! when a recorder is attached, so the `flower trace` timeline can line
-//! faults up against retries, timeouts, and degraded-mode windows (see
-//! `flower-core`'s resilience policy, which consumes this crate).
+//! The injector has one consumer: `flower-core`'s `ProvisioningManager`
+//! routes every sensor read and actuation of its control loops through
+//! it, so faults reach a layer only through its loop (the storage
+//! read-capacity loop included) and meet that manager's resilience
+//! policy. Every injected fault emits a
+//! [`flower_obs::kind::CHAOS_FAULT`] event when a recorder is attached,
+//! so the `flower trace` timeline can line faults up against retries,
+//! timeouts, and degraded-mode windows.
 
 #![deny(missing_docs)]
 
 pub mod inject;
 pub mod plan;
-pub mod wrap;
 
 pub use inject::{DelayedResize, FaultDecision, FaultInjector};
 pub use plan::{FaultClause, FaultKind, FaultPlan, PRESETS};
-pub use wrap::ChaosLayer;

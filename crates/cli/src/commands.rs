@@ -202,7 +202,7 @@ impl EpisodeSpec {
             Some(mins) => Some(mins.parse().map_err(|_| format!("bad --replan '{mins}'"))?),
             None => None,
         };
-        Ok(EpisodeSpec {
+        EpisodeSpec {
             minutes: args.u64_or("minutes", 30)?,
             seed: args.u64_or("seed", 0)?,
             rate: args.f64_or("rate", 1_500.0)?,
@@ -212,7 +212,8 @@ impl EpisodeSpec {
             replan,
             faults: args.get("faults").map(str::to_owned),
             fast_forward: args.str_or("fast-forward", "false") == "true",
-        })
+        }
+        .checked()
     }
 
     /// Rebuild the spec from a recorded episode map (missing keys take
@@ -232,7 +233,7 @@ impl EpisodeSpec {
                 None => Ok(default),
             }
         }
-        Ok(EpisodeSpec {
+        EpisodeSpec {
             minutes: parsed(map, "minutes", 30)?,
             seed: parsed(map, "seed", 0)?,
             rate: parsed(map, "rate", 1_500.0)?,
@@ -254,7 +255,23 @@ impl EpisodeSpec {
             },
             faults: map.get("faults").cloned(),
             fast_forward: map.get("fast_forward").map(String::as_str) == Some("true"),
-        })
+        }
+        .checked()
+    }
+
+    /// The range check both readers end with, so an out-of-range value
+    /// is an error naming its key instead of a panic in the builder.
+    fn checked(self) -> Result<EpisodeSpec, Box<dyn Error>> {
+        if !(self.rate.is_finite() && self.rate >= 0.0) {
+            return Err(format!("rate must be finite and >= 0, got {}", self.rate).into());
+        }
+        if self.period == 0 {
+            return Err("period must be at least 1 second, got 0".into());
+        }
+        if self.replan == Some(0) {
+            return Err("replan must be at least 1 minute, got 0".into());
+        }
+        Ok(self)
     }
 
     /// The flat string map that [`Self::from_map`] reverses.
@@ -771,7 +788,7 @@ pub fn monitor(args: &Args) -> CmdResult {
         .seed(seed)
         .build()?;
     manager.run_for_mins(minutes);
-    let monitor = CrossPlatformMonitor::for_clickstream("clicks", "counter", "aggregates");
+    let monitor = CrossPlatformMonitor::for_engine(manager.engine());
     let snapshot = monitor.snapshot(
         manager.engine().metrics(),
         manager.now(),
@@ -1230,6 +1247,44 @@ mod tests {
     #[test]
     fn monitor_command_executes() {
         monitor(&args(&["monitor", "--minutes", "2"])).unwrap();
+    }
+
+    #[test]
+    fn out_of_range_episode_values_are_errors() {
+        for (flag, value) in [
+            ("period", "0"),
+            ("rate", "inf"),
+            ("rate", "NaN"),
+            ("rate", "-5"),
+            ("replan", "0"),
+        ] {
+            let err = run(&args(&[
+                "run",
+                "--minutes",
+                "1",
+                &format!("--{flag}"),
+                value,
+            ]));
+            assert!(
+                err.unwrap_err().to_string().contains(flag),
+                "--{flag} {value}"
+            );
+        }
+        // `flower serve --replay` reads the same values from a
+        // recording's episode map.
+        let record = std::env::temp_dir().join("flower-cli-bad-episode.rec");
+        for (key, value) in [("period", "0"), ("rate", "inf"), ("replan", "0")] {
+            let episode = format!("{{\"{key}\":\"{value}\"}}");
+            let header = format!(
+                "{{\"schema\":\"flower-record/v1\",\"proto\":\"flower-wire/v1\",\"episode\":{episode}}}\n"
+            );
+            std::fs::write(&record, header).unwrap();
+            let path = record.to_str().unwrap();
+            let err = crate::live::serve(&args(&["serve", "--replay", path])).unwrap_err();
+            assert!(err.to_string().contains(key), "{key} = {value}: {err}");
+        }
+        let _ = std::fs::remove_file(record);
+        assert!(EpisodeSpec::from_args(&args(&["run", "--rate", "0"])).is_ok());
     }
 
     #[test]

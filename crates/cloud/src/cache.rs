@@ -15,11 +15,9 @@
 
 use flower_sim::{SimDuration, SimTime};
 
-use crate::alarms::{Alarm, Comparison};
 use crate::engine::{metric_names, EngineError, TickReport};
 use crate::layer::{LayerId, LayerService, SensorProbe, CACHE};
 use crate::metrics::{MetricId, Statistic};
-use crate::pricing::PriceList;
 
 /// Static configuration of a simulated cache cluster.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,10 +242,6 @@ impl LayerService for CacheCluster {
         CACHE
     }
 
-    fn service_name(&self) -> &str {
-        self.name()
-    }
-
     fn actuator_units(&self) -> f64 {
         f64::from(self.nodes)
     }
@@ -258,10 +252,6 @@ impl LayerService for CacheCluster {
 
     fn max_units(&self) -> f64 {
         f64::from(self.config.max_nodes)
-    }
-
-    fn unit_price(&self, prices: &PriceList) -> f64 {
-        prices.cache_node_hour
     }
 
     fn quantize(&self, target: f64) -> f64 {
@@ -302,21 +292,9 @@ impl LayerService for CacheCluster {
         .collect()
     }
 
-    fn default_alarm(&self) -> Option<Alarm> {
-        Some(Alarm::new(
-            format!("{}-hit-low", CACHE.label()),
-            MetricId::new(
-                metric_names::NS_CACHE,
-                metric_names::CACHE_HIT_RATIO,
-                self.name(),
-            ),
-            Statistic::Average,
-            SimDuration::from_mins(1),
-            Comparison::LessThan,
-            0.5,
-            2,
-        ))
-    }
+    // No default alarm: the cache's hit ratio has never been alarmed on,
+    // and registering one would add events to every traced 4-layer
+    // episode.
 }
 
 #[cfg(test)]
@@ -402,14 +380,11 @@ mod tests {
         assert_eq!(LayerService::id(&c), CACHE);
         assert_eq!(c.actuator_units(), 2.0);
         assert_eq!(c.max_units(), 20.0);
-        assert_eq!(c.min_units(), 1.0);
         assert_eq!(c.quantize(3.7), 3.0);
-        assert_eq!(c.unit_price(&PriceList::default()), 0.090);
         let probe = c.utilization_sensor();
         assert_eq!(probe.metric.metric, metric_names::CACHE_UTILIZATION);
         assert_eq!(probe.scale, 100.0);
         assert_eq!(c.headline_metrics().len(), 4);
-        let alarm = c.default_alarm().unwrap();
-        assert_eq!(alarm.name, "cache-hit-low");
+        assert!(c.default_alarm().is_none());
     }
 }

@@ -19,7 +19,6 @@ use crate::alarms::{Alarm, Comparison};
 use crate::engine::{metric_names, EngineError, TickReport};
 use crate::layer::{LayerId, LayerService, SensorProbe, STORAGE};
 use crate::metrics::{MetricId, Statistic};
-use crate::pricing::PriceList;
 
 /// Static configuration of a simulated table.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,6 +185,17 @@ impl DynamoTable {
     /// Table name.
     pub fn name(&self) -> &str {
         &self.config.name
+    }
+
+    /// Average read utilization over the window, as % — the sensor of
+    /// the read-capacity loop ([`crate::layer::STORAGE_READ`]).
+    pub fn read_sensor(&self) -> SensorProbe {
+        use metric_names::*;
+        SensorProbe {
+            metric: MetricId::new(NS_DYNAMO, READ_UTILIZATION, self.name()),
+            statistic: Statistic::Average,
+            scale: 100.0,
+        }
     }
 
     /// Currently provisioned WCU.
@@ -439,10 +449,6 @@ impl LayerService for DynamoTable {
         STORAGE
     }
 
-    fn service_name(&self) -> &str {
-        self.name()
-    }
-
     fn actuator_units(&self) -> f64 {
         self.provisioned_wcu()
     }
@@ -453,10 +459,6 @@ impl LayerService for DynamoTable {
 
     fn max_units(&self) -> f64 {
         self.config.max_wcu
-    }
-
-    fn unit_price(&self, prices: &PriceList) -> f64 {
-        prices.wcu_hour
     }
 
     fn actuate(&mut self, target: f64, now: SimTime) -> Result<(), EngineError> {

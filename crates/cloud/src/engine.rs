@@ -20,7 +20,7 @@ use flower_workload::ClickRecord;
 use crate::cache::{CacheCluster, CacheConfig, CacheError, CacheOutcome};
 use crate::dynamo::{DynamoConfig, DynamoError, DynamoTable, ReadOutcome, WriteOutcome};
 use crate::kinesis::{IngestOutcome, KinesisConfig, KinesisError, KinesisStream};
-use crate::layer::{LayerId, LayerService};
+use crate::layer::{LayerId, LayerService, STORAGE_READ};
 use crate::metrics::{MetricId, MetricsStore};
 use crate::pricing::{BillingMeter, PriceList, ResourceKind};
 use crate::storm::{ProcessOutcome, StormCluster, StormConfig, StormError, Topology};
@@ -182,9 +182,6 @@ pub enum EngineError {
     Cache(CacheError),
     /// The addressed layer is not registered with the engine.
     UnknownLayer(LayerId),
-    /// The layer's control-plane API is transiently unavailable (e.g.
-    /// an injected fault rejected the resize call).
-    Unavailable(LayerId),
 }
 
 impl std::fmt::Display for EngineError {
@@ -196,9 +193,6 @@ impl std::fmt::Display for EngineError {
             EngineError::Cache(e) => write!(f, "cache: {e}"),
             EngineError::UnknownLayer(layer) => {
                 write!(f, "no service registered for layer {layer}")
-            }
-            EngineError::Unavailable(layer) => {
-                write!(f, "layer {layer} control plane temporarily unavailable")
             }
         }
     }
@@ -311,13 +305,21 @@ impl CloudEngine {
         }
     }
 
-    /// Units `layer` is converging to, if the layer is registered.
+    /// Units `layer` is converging to, if the engine answers for it: a
+    /// registered layer, or [`STORAGE_READ`].
     pub fn target_units(&self, layer: LayerId) -> Option<f64> {
+        if layer == STORAGE_READ {
+            return Some(self.dynamo.target_rcu());
+        }
         self.service(layer).map(LayerService::target_units)
     }
 
-    /// Units `layer` currently has deployed, if the layer is registered.
+    /// Units `layer` currently has deployed, if the engine answers for
+    /// it: a registered layer, or [`STORAGE_READ`].
     pub fn actuator_units(&self, layer: LayerId) -> Option<f64> {
+        if layer == STORAGE_READ {
+            return Some(self.dynamo.provisioned_rcu());
+        }
         self.service(layer).map(LayerService::actuator_units)
     }
 
@@ -326,21 +328,29 @@ impl CloudEngine {
     /// The layer's own [`LayerService::quantize`] decides how the
     /// continuous command lands on the service's actuation grid, and
     /// the attempt is traced as a [`kind::CLOUD_RESIZE`] event under the
-    /// layer's resource name.
+    /// layer's resource name. [`STORAGE_READ`] resizes the storage
+    /// service's read capacity.
     pub fn actuate(
         &mut self,
         layer: LayerId,
         target: f64,
         now: SimTime,
     ) -> Result<(), EngineError> {
-        let Some(service) = self.service(layer) else {
-            return Err(EngineError::UnknownLayer(layer));
-        };
-        let from = service.actuator_units();
-        let to = service.quantize(target);
-        let result = match self.service_mut(layer) {
-            Some(service) => service.actuate(target, now),
-            None => Err(EngineError::UnknownLayer(layer)),
+        let (from, to, result) = if layer == STORAGE_READ {
+            let from = self.dynamo.provisioned_rcu();
+            let result = self.dynamo.update_read_capacity(target, now);
+            (from, target, result.map_err(EngineError::Dynamo))
+        } else {
+            let Some(service) = self.service(layer) else {
+                return Err(EngineError::UnknownLayer(layer));
+            };
+            let from = service.actuator_units();
+            let to = service.quantize(target);
+            let result = match self.service_mut(layer) {
+                Some(service) => service.actuate(target, now),
+                None => Err(EngineError::UnknownLayer(layer)),
+            };
+            (from, to, result)
         };
         self.trace_resize(layer.resource(), from, to, &result, now);
         result
@@ -359,17 +369,6 @@ impl CloudEngine {
     /// Engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Actuator: request a read-capacity change.
-    pub fn scale_rcu(&mut self, target: f64, now: SimTime) -> Result<(), EngineError> {
-        let from = self.dynamo.provisioned_rcu();
-        let result = self
-            .dynamo
-            .update_read_capacity(target, now)
-            .map_err(EngineError::Dynamo);
-        self.trace_resize("rcu", from, target, &result, now);
-        result
     }
 
     /// Emit a [`kind::CLOUD_RESIZE`] event for an actuation that changed
@@ -697,7 +696,7 @@ impl CloudEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{ANALYTICS, INGESTION, STORAGE};
+    use crate::layer::{ANALYTICS, CACHE, INGESTION, STORAGE};
     use crate::metrics::Statistic;
     use flower_sim::SimRng;
     use flower_workload::{ClickStreamConfig, ClickStreamGenerator, ConstantRate};
@@ -789,6 +788,12 @@ mod tests {
         e.actuate(INGESTION, 6.0, SimTime::ZERO).unwrap();
         e.actuate(ANALYTICS, 5.0, SimTime::ZERO).unwrap();
         e.actuate(STORAGE, 700.0, SimTime::ZERO).unwrap();
+        // Read capacity is an actuator of the storage service, not a
+        // registered layer of its own.
+        assert!(!e.layer_ids().contains(&STORAGE_READ));
+        e.actuate(STORAGE_READ, 120.0, SimTime::ZERO).unwrap();
+        assert_eq!(e.actuator_units(STORAGE_READ), Some(50.0));
+        assert_eq!(e.target_units(STORAGE_READ), Some(120.0));
         // Advance past every latency (VM boot = 60 s).
         run_constant(&mut e, 10.0, 61, 5);
         assert_eq!(e.kinesis().shards(), 6);
@@ -811,6 +816,15 @@ mod tests {
             e.actuate(STORAGE, 0.0, SimTime::ZERO),
             Err(EngineError::Dynamo(_))
         ));
+        assert!(matches!(
+            e.actuate(STORAGE_READ, 0.0, SimTime::ZERO),
+            Err(EngineError::Dynamo(_))
+        ));
+        assert_eq!(
+            e.actuate(CACHE, 2.0, SimTime::ZERO),
+            Err(EngineError::UnknownLayer(CACHE)),
+            "no cache tier deployed"
+        );
     }
 
     #[test]
@@ -866,6 +880,7 @@ mod tests {
         e.actuate(ANALYTICS, f64::from(e.storm().target_vms()), SimTime::ZERO)
             .unwrap();
         assert!(e.actuate(STORAGE, 0.0, SimTime::ZERO).is_err());
+        e.actuate(STORAGE_READ, 80.0, SimTime::ZERO).unwrap();
         // Overload a tiny deployment so throttling shows up.
         run_constant(&mut e, 6_000.0, 10, 11);
         let events = rec.events();
@@ -873,11 +888,13 @@ mod tests {
             .iter()
             .filter(|ev| ev.kind == kind::CLOUD_RESIZE)
             .collect();
-        assert_eq!(resizes.len(), 2, "no-op vm resize must not trace");
+        assert_eq!(resizes.len(), 3, "no-op vm resize must not trace");
         assert_eq!(resizes[0].str("resource"), Some("shards"));
         assert_eq!(resizes[0].f64("to"), Some(4.0));
         assert_eq!(resizes[1].str("resource"), Some("wcu"));
         assert!(resizes[1].str("error").is_some());
+        assert_eq!(resizes[2].str("resource"), Some("rcu"));
+        assert_eq!(resizes[2].f64("to"), Some(80.0));
         assert!(
             events
                 .iter()

@@ -21,7 +21,6 @@ use crate::alarms::{Alarm, Comparison};
 use crate::engine::{metric_names, EngineError, TickReport};
 use crate::layer::{LayerId, LayerService, SensorProbe, INGESTION};
 use crate::metrics::{MetricId, Statistic};
-use crate::pricing::PriceList;
 
 /// Static configuration of a simulated stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,6 +143,19 @@ impl KinesisStream {
     /// Stream name.
     pub fn name(&self) -> &str {
         &self.config.name
+    }
+
+    /// The *hottest* shard's utilization (window maximum, as %), from
+    /// enhanced shard-level monitoring. Under skewed partition keys this
+    /// probe sees saturation the stream-level average of
+    /// [`LayerService::utilization_sensor`] hides.
+    pub fn hot_shard_sensor(&self) -> SensorProbe {
+        use metric_names::*;
+        SensorProbe {
+            metric: MetricId::new(NS_KINESIS, MAX_SHARD_UTILIZATION, self.name()),
+            statistic: Statistic::Maximum,
+            scale: 100.0,
+        }
     }
 
     /// Currently open shards.
@@ -285,10 +297,6 @@ impl LayerService for KinesisStream {
         INGESTION
     }
 
-    fn service_name(&self) -> &str {
-        self.name()
-    }
-
     fn actuator_units(&self) -> f64 {
         f64::from(self.shards())
     }
@@ -299,10 +307,6 @@ impl LayerService for KinesisStream {
 
     fn max_units(&self) -> f64 {
         f64::from(self.config.max_shards)
-    }
-
-    fn unit_price(&self, prices: &PriceList) -> f64 {
-        prices.shard_hour
     }
 
     fn quantize(&self, target: f64) -> f64 {

@@ -22,12 +22,11 @@
 //! * [`ResourceVector`] keeps its entries sorted by layer at all times;
 //! * `CloudEngine` yields services in ascending layer order.
 
-use flower_sim::SimTime;
+use flower_sim::{SimDuration, SimTime};
 
 use crate::alarms::Alarm;
 use crate::engine::{EngineError, TickReport};
-use crate::metrics::{MetricId, Statistic};
-use crate::pricing::PriceList;
+use crate::metrics::{MetricId, MetricsStore, Statistic};
 
 /// Identity of one layer in a data analytics flow.
 ///
@@ -53,6 +52,11 @@ pub const ANALYTICS: LayerId = LayerId::new(1, "analytics", "vms", "VMs", "A");
 pub const STORAGE: LayerId = LayerId::new(2, "storage", "wcu", "write capacity units", "S");
 /// The cache tier extension layer (position 3).
 pub const CACHE: LayerId = LayerId::new(3, "cache", "cache_nodes", "cache nodes", "C");
+/// The storage layer's read capacity (position 4). An actuator of the
+/// storage service, not a registered service of its own: the engine
+/// answers for it, but it is absent from `CloudEngine::layer_ids`.
+pub const STORAGE_READ: LayerId =
+    LayerId::new(4, "storage_read", "rcu", "read capacity units", "R");
 
 impl LayerId {
     /// The three layers of the paper's demo flow, in flow order.
@@ -66,6 +70,8 @@ impl LayerId {
     pub const STORAGE: LayerId = STORAGE;
     /// See [`CACHE`].
     pub const CACHE: LayerId = CACHE;
+    /// See [`STORAGE_READ`].
+    pub const STORAGE_READ: LayerId = STORAGE_READ;
 
     /// Mint a new layer identity.
     ///
@@ -136,6 +142,16 @@ pub struct SensorProbe {
     pub scale: f64,
 }
 
+impl SensorProbe {
+    /// Read the probe over `[now − window, now)`. `None` when the window
+    /// holds no datapoints yet.
+    pub fn read(&self, store: &MetricsStore, now: SimTime, window: SimDuration) -> Option<f64> {
+        store
+            .window_stat(&self.metric, self.statistic, now - window, now)
+            .map(|v| v * self.scale)
+    }
+}
+
 /// Uniform control-plane interface over one simulated layer service.
 ///
 /// Implemented by [`KinesisStream`](crate::KinesisStream),
@@ -148,10 +164,6 @@ pub trait LayerService {
     /// The layer this service occupies.
     fn id(&self) -> LayerId;
 
-    /// The deployed resource name (metric dimension), e.g. the stream
-    /// name.
-    fn service_name(&self) -> &str;
-
     /// Units currently deployed, as the actuator trace reports them.
     ///
     /// This is the `from` side of a resize event and the baseline the
@@ -163,16 +175,8 @@ pub trait LayerService {
     /// a controller whose command was rejected.
     fn target_units(&self) -> f64;
 
-    /// Smallest admissible resource amount.
-    fn min_units(&self) -> f64 {
-        1.0
-    }
-
     /// Largest admissible resource amount (account limit).
     fn max_units(&self) -> f64;
-
-    /// Price of one resource-unit-hour under `prices`.
-    fn unit_price(&self, prices: &PriceList) -> f64;
 
     /// Project a continuous controller command onto the service's
     /// actuation grid (e.g. whole shards). Must match what
@@ -295,6 +299,8 @@ mod tests {
         assert_eq!(STORAGE.symbol(), "S");
         assert_eq!(CACHE.position(), 3);
         assert_eq!(format!("{STORAGE}"), "storage");
+        assert!(CACHE < STORAGE_READ);
+        assert_eq!(STORAGE_READ.resource(), "rcu");
     }
 
     #[test]

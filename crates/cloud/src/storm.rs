@@ -18,7 +18,6 @@ use crate::alarms::{Alarm, Comparison};
 use crate::engine::{metric_names, EngineError, TickReport};
 use crate::layer::{LayerId, LayerService, SensorProbe, ANALYTICS};
 use crate::metrics::{MetricId, Statistic};
-use crate::pricing::PriceList;
 
 /// One bolt of the topology.
 #[derive(Debug, Clone, PartialEq)]
@@ -374,10 +373,6 @@ impl LayerService for StormCluster {
         ANALYTICS
     }
 
-    fn service_name(&self) -> &str {
-        self.name()
-    }
-
     /// VMs bill (and trace) from launch, so the actuator baseline is the
     /// target fleet, booting included.
     fn actuator_units(&self) -> f64 {
@@ -390,10 +385,6 @@ impl LayerService for StormCluster {
 
     fn max_units(&self) -> f64 {
         f64::from(self.config.max_vms)
-    }
-
-    fn unit_price(&self, prices: &PriceList) -> f64 {
-        prices.vm_hour
     }
 
     fn quantize(&self, target: f64) -> f64 {

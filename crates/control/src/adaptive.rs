@@ -18,8 +18,8 @@
 //! The clamping to `[l_min, l_max]` is what the companion paper's
 //! stability analysis relies on.
 //!
-//! **Gain memory.** §3.3 distinguishes Flower from fixed-gain [12] and
-//! quasi-adaptive [14] controllers by "updating the gain parameters in
+//! **Gain memory.** §3.3 distinguishes Flower from fixed-gain \[12\] and
+//! quasi-adaptive \[14\] controllers by "updating the gain parameters in
 //! multi-stages and keeping the history of the previously computed
 //! control gains". We implement that as a bounded history of recently
 //! computed gains: when the error *re-enters* the same regime (sign) after

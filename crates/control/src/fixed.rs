@@ -1,4 +1,4 @@
-//! The fixed-gain baseline controller — reference [12] of the paper
+//! The fixed-gain baseline controller — reference \[12\] of the paper
 //! (Lim, Babu & Chase, *Automated control for elastic storage*,
 //! ICAC 2010).
 //!

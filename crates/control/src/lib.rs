@@ -24,9 +24,9 @@
 //!   previously computed control gains for rapid elasticity").
 //! * [`fixed::FixedGainController`] — the fixed-gain integral controller
 //!   with dead-band of Lim, Babu & Chase (ICAC 2010), the paper's
-//!   reference [12].
+//!   reference \[12\].
 //! * [`quasi::QuasiAdaptiveController`] — the self-tuning controller of
-//!   Padala et al. (EuroSys 2007), the paper's reference [14]: an online
+//!   Padala et al. (EuroSys 2007), the paper's reference \[14\]: an online
 //!   RLS estimate of a first-order model re-derives the gain each step.
 //! * [`rule::RuleBasedController`] — the threshold-plus-cooldown
 //!   autoscaler the paper's introduction critiques (Amazon Auto Scaling).

@@ -1,4 +1,4 @@
-//! The quasi-adaptive baseline controller — reference [14] of the paper
+//! The quasi-adaptive baseline controller — reference \[14\] of the paper
 //! (Padala et al., *Adaptive control of virtualized resources in utility
 //! computing environments*, EuroSys 2007).
 //!

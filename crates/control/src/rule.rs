@@ -1,5 +1,5 @@
 //! The rule-based baseline — the threshold autoscaler the paper's
-//! introduction critiques (Amazon Auto Scaling, reference [1]):
+//! introduction critiques (Amazon Auto Scaling, reference \[1\]):
 //! "simple rule-based techniques that quickly trigger in response to
 //! predefined threshold violations … they often fail to adapt to
 //! unplanned or unforeseen changes in demand."

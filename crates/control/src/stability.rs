@@ -1,8 +1,8 @@
 //! Response-quality metrics for comparing controllers.
 //!
-//! The paper claims (§3.3, detailed in its companion journal paper [9])
+//! The paper claims (§3.3, detailed in its companion journal paper \[9\])
 //! that the adaptive controller with gain memory outperforms the
-//! fixed-gain [12] and quasi-adaptive [14] baselines. These are the
+//! fixed-gain \[12\] and quasi-adaptive \[14\] baselines. These are the
 //! metrics that comparison is scored on: settling time after a
 //! disturbance, overshoot, steady-state error, oscillation count, and
 //! integral absolute error.

@@ -6,6 +6,12 @@
 //! → actuator loops run every monitoring period; everything observable is
 //! recorded into an [`EpisodeReport`] for scoring and plotting.
 //!
+//! Every loop — one per registered layer, plus the storage read-capacity
+//! loop of [`ElasticityManagerBuilder::rcu_controller`] — is a
+//! [`ProvisioningManager`] loop, so faults, resilience and
+//! `control.decision` tracing reach each of them alike. Sensors, monitor
+//! rows and alarms come from the engine's layer services.
+//!
 //! # Event-driven core
 //!
 //! The episode runs on [`flower_sim::Scheduler`] as discrete events, not
@@ -17,14 +23,14 @@
 //! 1. `POLL` — resilience housekeeping (delayed-resize landings, actuation
 //!    timeouts, retry backoffs), scheduled on demand at the next due
 //!    instant instead of polled every second;
-//! 2. `CONTROL` — the per-layer sensor → controller → actuator rounds on
-//!    the monitoring-period grid;
-//! 3. `RCU` — the storage read-capacity loop on the same grid;
-//! 4. `ALARM` — cross-platform alarm evaluation on the one-minute grid of
+//! 2. `CONTROL` — one provisioning round on the monitoring-period grid:
+//!    every loop's sensor → controller → actuator step, the
+//!    read-capacity loop last;
+//! 3. `ALARM` — cross-platform alarm evaluation on the one-minute grid of
 //!    traced episodes;
-//! 5. `REPLAN` — re-planning rounds at the replanner's cadence (a single
+//! 4. `REPLAN` — re-planning rounds at the replanner's cadence (a single
 //!    cancellable event, rescheduled from `next_due`);
-//! 6. `ENGINE` — the cloud-engine tick covering the span to the next
+//! 5. `ENGINE` — the cloud-engine tick covering the span to the next
 //!    engine event (normally one second; longer in fast-forward).
 //!
 //! With [`ElasticityManagerBuilder::fast_forward`] enabled, quiet windows
@@ -36,8 +42,7 @@
 use std::collections::BTreeMap;
 
 use flower_cloud::alarms::AlarmState;
-use flower_cloud::{CloudEngine, ReadWorkloadConfig};
-use flower_control::Controller;
+use flower_cloud::{CloudEngine, ReadWorkloadConfig, SensorProbe};
 use flower_control::ResponseMetrics;
 use flower_obs::{kind, FieldValue, Recorder, SpanId};
 use flower_sim::{EventHandle, Scheduler, SimDuration, SimRng, SimTime};
@@ -52,7 +57,7 @@ use crate::config::ControllerSpec;
 use crate::error::FlowerError;
 use crate::flow::{FlowSpec, Layer};
 use crate::monitor::CrossPlatformMonitor;
-use crate::provision::{sensors, LayerControllerConfig, ProvisioningManager, ResilienceConfig};
+use crate::provision::{LayerControllerConfig, ProvisioningManager, ResilienceConfig};
 use crate::replan::Replanner;
 
 /// A workload: an arrival process plus the click-stream shape.
@@ -318,9 +323,11 @@ impl ElasticityManagerBuilder {
         self
     }
 
-    /// Manage the storage layer's *read* capacity (RCU) with its own
-    /// control loop — the fourth managed resource, per §2's listing of
-    /// "DynamoDB read/write units". Bounds cap the provisioned RCU.
+    /// Manage the storage layer's *read* capacity (RCU,
+    /// [`Layer::STORAGE_READ`]) with its own control loop — the fourth
+    /// managed resource, per §2's listing of "DynamoDB read/write units".
+    /// The loop runs last in each provisioning round, on the read
+    /// utilization sensor; bounds cap the provisioned RCU.
     pub fn rcu_controller(mut self, spec: ControllerSpec, min: f64, max: f64) -> Self {
         assert!(
             min >= 1.0 && min <= max,
@@ -357,41 +364,11 @@ impl ElasticityManagerBuilder {
         if let Some(rw) = self.read_workload {
             engine_config.read_workload = rw;
         }
-        let rcu_loop = self.rcu_controller.and_then(|(spec, bounds)| {
-            let u_init = engine_config.dynamo.initial_rcu;
-            spec.build(u_init).map(|controller| RcuLoop {
-                controller,
-                bounds,
-                actions: 0,
-            })
-        });
         let mut engine = CloudEngine::new(engine_config);
         engine.set_recorder(self.recorder.clone());
         let rng = SimRng::seed(self.seed);
         let generator = ClickStreamGenerator::new(workload.click.clone(), rng.fork(1));
-
-        let stream = self.flow.ingestion.name().to_owned();
-        let mut monitor = CrossPlatformMonitor::for_clickstream(
-            &stream,
-            self.flow.analytics.name(),
-            self.flow.storage.name(),
-        );
-        if let Some(cache) = &self.flow.cache {
-            use flower_cloud::engine::metric_names::{
-                CACHE_HIT_RATIO, CACHE_NODES, CACHE_REQUESTS, CACHE_UTILIZATION, NS_CACHE,
-            };
-            for name in [
-                CACHE_REQUESTS,
-                CACHE_HIT_RATIO,
-                CACHE_UTILIZATION,
-                CACHE_NODES,
-            ] {
-                monitor.register(
-                    Layer::CACHE,
-                    flower_cloud::MetricId::new(NS_CACHE, name, cache.name()),
-                );
-            }
-        }
+        let monitor = CrossPlatformMonitor::for_engine(&engine);
 
         // One loop per layer the engine registers, in the registry's
         // (ascending) layer order. Controller and bounds come from the
@@ -413,9 +390,9 @@ impl ElasticityManagerBuilder {
                 .unwrap_or_else(|| default_controller(layer));
             let initial = service.target_units();
             let sensor = if layer == Layer::INGESTION && self.hot_shard_sensor {
-                sensors::hot_shard_utilization(&stream)
+                engine.kinesis().hot_shard_sensor()
             } else {
-                sensors::for_service(service)
+                service.utilization_sensor()
             };
             let b = self
                 .bounds
@@ -423,17 +400,15 @@ impl ElasticityManagerBuilder {
                 .find(|(l, _)| *l == layer)
                 .map(|&(_, b)| b)
                 .unwrap_or_else(|| default_bounds(layer, service.max_units()));
-            controller_specs.push((layer, spec.clone()));
-            let Some(controller) = spec.build(initial) else {
-                continue; // static layer
-            };
-            loops.push(LayerControllerConfig {
-                layer,
-                controller,
-                sensor,
-                min_units: b.min,
-                max_units: b.max,
-            });
+            loops.extend(managed_loop(layer, &spec, initial, sensor, b));
+            controller_specs.push((layer, spec));
+        }
+        // The read-capacity loop runs after the registry's loops, so it
+        // acts last in each round.
+        if let Some((spec, b)) = &self.rcu_controller {
+            let dynamo = engine.dynamo();
+            let (initial, sensor) = (dynamo.target_rcu(), dynamo.read_sensor());
+            loops.extend(managed_loop(Layer::STORAGE_READ, spec, initial, sensor, *b));
         }
         let mut provisioning = ProvisioningManager::new(loops, self.monitoring_period);
         provisioning.set_recorder(self.recorder.clone());
@@ -460,20 +435,17 @@ impl ElasticityManagerBuilder {
 
         let layers = engine.layer_ids();
 
-        // The recurring event chains. Control, RCU, and alarm rounds
-        // fire at whole seconds that are also multiples of their period,
-        // i.e. on the lcm(period, 1 s) grid, starting at the first grid
-        // point after t = 0; each event reschedules itself, so the
-        // chains persist across episodes exactly like the old loop's
-        // modulo checks did. Poll and replan events are scheduled on
-        // demand from their next due instants.
+        // The recurring event chains. Control and alarm rounds fire at
+        // whole seconds that are also multiples of their period, i.e. on
+        // the lcm(period, 1 s) grid, starting at the first grid point
+        // after t = 0; each event reschedules itself, so the chains
+        // persist across episodes exactly like the old loop's modulo
+        // checks did. Poll and replan events are scheduled on demand from
+        // their next due instants.
         let mut sched: Scheduler<World> = Scheduler::new();
         let control_grid =
             SimDuration::from_millis(lcm_ms(self.monitoring_period.as_millis(), 1_000));
         sched.schedule_at_class(SimTime::ZERO + control_grid, CLASS_CONTROL, control_event);
-        if rcu_loop.is_some() {
-            sched.schedule_at_class(SimTime::ZERO + control_grid, CLASS_RCU, rcu_event);
-        }
         if self.recorder.is_enabled() {
             sched.schedule_at_class(SimTime::from_secs(60), CLASS_ALARM, alarm_event);
         }
@@ -488,7 +460,6 @@ impl ElasticityManagerBuilder {
             control_grid,
             controller_specs,
             replanner,
-            rcu_loop,
             report: EpisodeReport::for_layers(layers),
             recorder: self.recorder,
             monitor,
@@ -505,11 +476,22 @@ impl ElasticityManagerBuilder {
     }
 }
 
-/// The optional fourth control loop: storage-layer read capacity.
-struct RcuLoop {
-    controller: Box<dyn Controller>,
-    bounds: LayerBounds,
-    actions: u64,
+/// The control loop of `layer` under `spec`, starting from `initial`
+/// units; `None` for a static spec (a layer nothing scales).
+fn managed_loop(
+    layer: Layer,
+    spec: &ControllerSpec,
+    initial: f64,
+    sensor: SensorProbe,
+    b: LayerBounds,
+) -> Option<LayerControllerConfig> {
+    Some(LayerControllerConfig {
+        layer,
+        controller: spec.build(initial)?,
+        sensor,
+        min_units: b.min,
+        max_units: b.max,
+    })
 }
 
 /// Everything one elasticity episode produced.
@@ -554,7 +536,8 @@ pub struct EpisodeReport {
     pub rcu_trace: Vec<(SimTime, f64)>,
     /// Reads throttled at the storage layer.
     pub throttled_reads: u64,
-    /// Scaling actions taken by the RCU loop.
+    /// Engine ticks at which the provisioned RCU changed — the rule
+    /// `scaling_actions` applies to every registered layer.
     pub rcu_actions: u64,
     /// Discrete events the scheduler executed over the manager's
     /// lifetime so far — the event-core cost model's native unit. With
@@ -632,15 +615,14 @@ impl EpisodeReport {
 }
 
 // Tie-break classes: at a shared timestamp, housekeeping (poll, control,
-// RCU, alarm, replan — in that order) fires before the engine tick,
+// alarm, replan — in that order) fires before the engine tick,
 // reproducing the retired loop's "housekeeping for T runs at the end of
 // the previous second's tick" sequencing.
 const CLASS_POLL: u8 = 0;
 const CLASS_CONTROL: u8 = 1;
-const CLASS_RCU: u8 = 2;
-const CLASS_ALARM: u8 = 3;
-const CLASS_REPLAN: u8 = 4;
-const CLASS_ENGINE: u8 = 5;
+const CLASS_ALARM: u8 = 2;
+const CLASS_REPLAN: u8 = 3;
+const CLASS_ENGINE: u8 = 4;
 
 /// Least common multiple of two periods in milliseconds.
 fn lcm_ms(a: u64, b: u64) -> u64 {
@@ -676,11 +658,10 @@ struct World {
     process: Box<dyn ArrivalProcess>,
     generator: ClickStreamGenerator,
     monitoring_period: SimDuration,
-    /// lcm(monitoring period, 1 s): the control/RCU rounds' actual grid.
+    /// lcm(monitoring period, 1 s): the control rounds' actual grid.
     control_grid: SimDuration,
     controller_specs: Vec<(Layer, ControllerSpec)>,
     replanner: Option<Replanner>,
-    rcu_loop: Option<RcuLoop>,
     report: EpisodeReport,
     recorder: Recorder,
     monitor: CrossPlatformMonitor,
@@ -705,6 +686,7 @@ struct EpisodeState {
     end: SimTime,
     span: SpanId,
     prev_actuators: Vec<f64>,
+    prev_rcu: f64,
     events_at_start: u64,
 }
 
@@ -776,9 +758,14 @@ fn engine_event(s: &mut Scheduler<World>, w: &mut World) {
     w.report
         .read_utilization_trace
         .push((t, tick.read.utilization * 100.0));
-    w.report
-        .rcu_trace
-        .push((t, w.engine.dynamo().provisioned_rcu()));
+    let rcu = w.engine.dynamo().provisioned_rcu();
+    w.report.rcu_trace.push((t, rcu));
+    if let Some(episode) = w.episode.as_mut() {
+        if (rcu - episode.prev_rcu).abs() > 1e-9 {
+            w.report.rcu_actions += 1;
+        }
+        episode.prev_rcu = rcu;
+    }
 
     let actuators: Vec<f64> = w
         .engine
@@ -808,39 +795,14 @@ fn engine_event(s: &mut Scheduler<World>, w: &mut World) {
 }
 
 /// CONTROL event: one provisioning round (sensor → controller →
-/// actuator per managed layer) on the monitoring-period grid. Control
-/// decisions can create retry/timeout work, so the poll event is
-/// re-aimed afterwards.
+/// actuator per managed loop, the read-capacity loop last) on the
+/// monitoring-period grid. Control decisions can create retry/timeout
+/// work, so the poll event is re-aimed afterwards.
 fn control_event(s: &mut Scheduler<World>, w: &mut World) {
     let t = s.now();
     w.provisioning.step(&mut w.engine, t);
     reschedule_poll(s, w);
     s.schedule_at_class(t + w.control_grid, CLASS_CONTROL, control_event);
-}
-
-/// RCU event: the storage read-capacity loop, sharing the control grid.
-fn rcu_event(s: &mut Scheduler<World>, w: &mut World) {
-    let t = s.now();
-    if let Some(rcu) = &mut w.rcu_loop {
-        let sensor = sensors::read_utilization(w.flow.storage.name());
-        if let Some(measurement) = sensor.read(w.engine.metrics(), t, w.monitoring_period) {
-            let commanded = rcu.controller.step(measurement);
-            let desired = commanded.clamp(rcu.bounds.min, rcu.bounds.max);
-            let applied = desired.round();
-            let before = w.engine.dynamo().target_rcu();
-            let accepted = w.engine.scale_rcu(applied, t).is_ok();
-            let in_force = if accepted {
-                desired
-            } else {
-                w.engine.dynamo().target_rcu()
-            };
-            rcu.controller.sync_actuator(in_force);
-            if accepted && (applied - before).abs() > 1e-9 {
-                rcu.actions += 1;
-            }
-        }
-    }
-    s.schedule_at_class(t + w.control_grid, CLASS_RCU, rcu_event);
 }
 
 /// ALARM event: traced episodes evaluate the cross-platform alarms on
@@ -1025,6 +987,7 @@ impl ElasticityManager {
             end,
             span,
             prev_actuators,
+            prev_rcu: self.world.engine.dynamo().provisioned_rcu(),
             events_at_start: self.sched.executed(),
         });
         if !self.world.engine_alive {
@@ -1051,18 +1014,15 @@ impl ElasticityManager {
         true
     }
 
-    /// Close the open episode: fill in rejected-actuation and RCU
-    /// totals, exit the `episode.run` span, and return a clone of the
-    /// cumulative report. A no-op span-wise when no episode is open.
+    /// Close the open episode: fill in rejected-actuation totals, exit
+    /// the `episode.run` span, and return a clone of the cumulative
+    /// report. A no-op span-wise when no episode is open.
     pub fn finish_episode(&mut self) -> EpisodeReport {
         let managed = self.world.report.layers.clone();
         for (i, layer) in managed.into_iter().enumerate() {
             if let Some(slot) = self.world.report.rejected_actuations.get_mut(i) {
                 *slot = self.world.provisioning.rejected(layer);
             }
-        }
-        if let Some(rcu) = &self.world.rcu_loop {
-            self.world.report.rcu_actions = rcu.actions;
         }
         self.world.report.events_executed = self.sched.executed();
         self.world.report.queue_high_water = self.sched.high_water() as u64;

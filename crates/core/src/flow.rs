@@ -283,27 +283,28 @@ impl FlowBuilder {
                 "platform names must be unique".into(),
             ));
         }
-        if let Platform::Kinesis { shards: 0, .. } = ingestion {
-            return Err(FlowerError::InvalidFlow(
-                "stream needs at least one shard".into(),
-            ));
+        // Initial capacities must lie in `[1, account limit]`, the range
+        // the services accept; a NaN WCU lies outside it too.
+        let within = |what: &str, value: f64, max: f64| {
+            if (1.0..=max).contains(&value) {
+                return Ok(());
+            }
+            let message = format!("{what} must be in [1, {max}], got {value}");
+            Err(FlowerError::InvalidFlow(message))
+        };
+        let (kinesis, storm) = (KinesisConfig::default(), StormConfig::default());
+        if let Platform::Kinesis { shards, .. } = ingestion {
+            within("stream shards", shards.into(), kinesis.max_shards.into())?;
         }
-        if let Platform::Storm { vms: 0, .. } = analytics {
-            return Err(FlowerError::InvalidFlow(
-                "cluster needs at least one VM".into(),
-            ));
+        if let Platform::Storm { vms, .. } = analytics {
+            within("cluster VMs", vms.into(), storm.max_vms.into())?;
         }
         if let Platform::Dynamo { wcu, .. } = storage {
-            if wcu < 1.0 {
-                return Err(FlowerError::InvalidFlow(
-                    "table needs at least 1 WCU".into(),
-                ));
-            }
+            within("table WCU", wcu, DynamoConfig::default().max_wcu)?;
         }
-        if let Some(Platform::Cache { nodes: 0, .. }) = self.cache {
-            return Err(FlowerError::InvalidFlow(
-                "cache needs at least one node".into(),
-            ));
+        if let Some(Platform::Cache { nodes, .. }) = self.cache {
+            let max_nodes = CacheConfig::default().max_nodes;
+            within("cache nodes", nodes.into(), max_nodes.into())?;
         }
 
         Ok(FlowSpec {
@@ -444,6 +445,18 @@ mod tests {
         assert!(base().ingestion(Platform::kinesis("a", 0)).build().is_err());
         assert!(base().analytics(Platform::storm("b", 0)).build().is_err());
         assert!(base().storage(Platform::dynamo("c", 0.5)).build().is_err());
+        // Above the account limits, and NaN, are out of range too.
+        for wcu in [f64::NAN, f64::INFINITY, 1e9] {
+            assert!(base().storage(Platform::dynamo("c", wcu)).build().is_err());
+        }
+        assert!(base()
+            .ingestion(Platform::kinesis("a", 100_000))
+            .build()
+            .is_err());
+        assert!(base()
+            .analytics(Platform::storm("b", 100_000))
+            .build()
+            .is_err());
     }
 
     #[test]

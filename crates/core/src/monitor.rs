@@ -9,10 +9,11 @@
 //! [`CrossPlatformMonitor`] is that consolidation layer: it snapshots
 //! every registered metric across all service namespaces in one call and
 //! renders the result as a text table (the simulated stand-in for the
-//! demo GUI of Fig. 6).
+//! demo GUI of Fig. 6). [`CrossPlatformMonitor::for_engine`] takes each
+//! layer's rows and health alarm from the layer's own service.
 
-use flower_cloud::alarms::{Alarm, AlarmSet, AlarmTransition, Comparison};
-use flower_cloud::{MetricId, MetricsStore, Statistic};
+use flower_cloud::alarms::{Alarm, AlarmSet, AlarmTransition};
+use flower_cloud::{CloudEngine, MetricId, MetricsStore, Statistic};
 use flower_sim::{SimDuration, SimTime};
 
 use crate::flow::Layer;
@@ -150,69 +151,22 @@ impl CrossPlatformMonitor {
         }
     }
 
-    /// Register every headline metric of the click-stream flow.
-    pub fn for_clickstream(stream: &str, cluster: &str, table: &str) -> CrossPlatformMonitor {
-        use flower_cloud::engine::metric_names::*;
+    /// A monitor over every service `engine` registers, in registry
+    /// order: each service's [`headline_metrics`] filed under its layer,
+    /// and its [`default_alarm`] when it declares one.
+    ///
+    /// [`headline_metrics`]: flower_cloud::LayerService::headline_metrics
+    /// [`default_alarm`]: flower_cloud::LayerService::default_alarm
+    pub fn for_engine(engine: &CloudEngine) -> CrossPlatformMonitor {
         let mut monitor = CrossPlatformMonitor::new();
-        for name in [
-            INCOMING_RECORDS,
-            WRITE_THROTTLED,
-            SHARD_UTILIZATION,
-            OPEN_SHARDS,
-        ] {
-            monitor.register(Layer::INGESTION, MetricId::new(NS_KINESIS, name, stream));
+        for service in engine.services() {
+            for metric in service.headline_metrics() {
+                monitor.register(service.id(), metric);
+            }
+            if let Some(alarm) = service.default_alarm() {
+                monitor.add_alarm(alarm);
+            }
         }
-        for name in [
-            CPU_UTILIZATION,
-            TUPLES_PROCESSED,
-            BACKLOG,
-            PROCESS_LATENCY,
-            RUNNING_VMS,
-        ] {
-            monitor.register(Layer::ANALYTICS, MetricId::new(NS_STORM, name, cluster));
-        }
-        for name in [
-            CONSUMED_WCU,
-            DYNAMO_THROTTLED,
-            WRITE_UTILIZATION,
-            PROVISIONED_WCU,
-            CONSUMED_RCU,
-            DYNAMO_READ_THROTTLED,
-            READ_UTILIZATION,
-            PROVISIONED_RCU,
-        ] {
-            monitor.register(Layer::STORAGE, MetricId::new(NS_DYNAMO, name, table));
-        }
-        // Default health alarms, one per layer (1-minute average over two
-        // consecutive evaluations, CloudWatch-style).
-        let minute = SimDuration::from_secs(60);
-        monitor.add_alarm(Alarm::new(
-            "ingestion-throttling",
-            MetricId::new(NS_KINESIS, WRITE_THROTTLED, stream),
-            Statistic::Sum,
-            minute,
-            Comparison::GreaterThan,
-            0.0,
-            2,
-        ));
-        monitor.add_alarm(Alarm::new(
-            "analytics-cpu-high",
-            MetricId::new(NS_STORM, CPU_UTILIZATION, cluster),
-            Statistic::Average,
-            minute,
-            Comparison::GreaterThan,
-            85.0,
-            2,
-        ));
-        monitor.add_alarm(Alarm::new(
-            "storage-throttling",
-            MetricId::new(NS_DYNAMO, DYNAMO_THROTTLED, table),
-            Statistic::Sum,
-            minute,
-            Comparison::GreaterThan,
-            0.0,
-            2,
-        ));
         monitor
     }
 
@@ -301,16 +255,28 @@ mod tests {
         e
     }
 
+    /// The registry monitor's snapshot of a populated engine over the
+    /// `window` ending at `at`.
+    fn snapshot(at: SimTime, window: SimDuration) -> MonitorSnapshot {
+        let e = populated_engine();
+        CrossPlatformMonitor::for_engine(&e).snapshot(e.metrics(), at, window)
+    }
+
     #[test]
     fn clickstream_monitor_covers_all_layers() {
-        let m = CrossPlatformMonitor::for_clickstream(
-            "clickstream",
-            "storm-cluster",
-            "click-aggregates",
-        );
+        let e = populated_engine();
+        let m = CrossPlatformMonitor::for_engine(&e);
         assert_eq!(m.len(), 17);
         assert!(!m.is_empty());
-        let e = populated_engine();
+        let alarms: Vec<_> = m.alarms().states().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(
+            alarms,
+            [
+                "ingestion-throttling",
+                "analytics-cpu-high",
+                "storage-throttling"
+            ]
+        );
         let snap = m.snapshot(
             e.metrics(),
             SimTime::from_secs(120),
@@ -324,17 +290,7 @@ mod tests {
 
     #[test]
     fn snapshot_statistics_are_consistent() {
-        let m = CrossPlatformMonitor::for_clickstream(
-            "clickstream",
-            "storm-cluster",
-            "click-aggregates",
-        );
-        let e = populated_engine();
-        let snap = m.snapshot(
-            e.metrics(),
-            SimTime::from_secs(120),
-            SimDuration::from_mins(1),
-        );
+        let snap = snapshot(SimTime::from_secs(120), SimDuration::from_mins(1));
         for row in &snap.rows {
             assert!(row.minimum <= row.average + 1e-9, "{row:?}");
             assert!(row.average <= row.maximum + 1e-9, "{row:?}");
@@ -345,17 +301,7 @@ mod tests {
 
     #[test]
     fn row_lookup_by_name() {
-        let m = CrossPlatformMonitor::for_clickstream(
-            "clickstream",
-            "storm-cluster",
-            "click-aggregates",
-        );
-        let e = populated_engine();
-        let snap = m.snapshot(
-            e.metrics(),
-            SimTime::from_secs(120),
-            SimDuration::from_mins(1),
-        );
+        let snap = snapshot(SimTime::from_secs(120), SimDuration::from_mins(1));
         let cpu = snap.row("CpuUtilization").expect("cpu row");
         assert!(cpu.average > 4.8);
         assert!(snap.row("NoSuchMetric").is_none());
@@ -363,18 +309,8 @@ mod tests {
 
     #[test]
     fn empty_window_omits_rows() {
-        let m = CrossPlatformMonitor::for_clickstream(
-            "clickstream",
-            "storm-cluster",
-            "click-aggregates",
-        );
-        let e = populated_engine();
         // A window entirely in the future of the data.
-        let snap = m.snapshot(
-            e.metrics(),
-            SimTime::from_hours(3),
-            SimDuration::from_mins(1),
-        );
+        let snap = snapshot(SimTime::from_hours(3), SimDuration::from_mins(1));
         assert!(snap.rows.is_empty());
     }
 
@@ -418,11 +354,7 @@ mod tests {
         let mut generator =
             ClickStreamGenerator::new(ClickStreamConfig::default(), SimRng::seed(2));
         let mut process = ConstantRate::new(3_000.0);
-        let mut m = CrossPlatformMonitor::for_clickstream(
-            "clickstream",
-            "storm-cluster",
-            "click-aggregates",
-        );
+        let mut m = CrossPlatformMonitor::for_engine(&e);
         let mut transitions = Vec::new();
         for s in 0..300u64 {
             let now = SimTime::from_secs(s);
@@ -453,11 +385,7 @@ mod tests {
     fn healthy_flow_keeps_alarms_ok() {
         use flower_cloud::alarms::AlarmState;
         let e = populated_engine(); // 1,000 rec/s on the default deployment
-        let mut m = CrossPlatformMonitor::for_clickstream(
-            "clickstream",
-            "storm-cluster",
-            "click-aggregates",
-        );
+        let mut m = CrossPlatformMonitor::for_engine(&e);
         for minute in 1..=2u64 {
             m.observe(e.metrics(), SimTime::from_secs(minute * 60));
         }
@@ -478,17 +406,7 @@ mod tests {
 
     #[test]
     fn table_renders_every_row() {
-        let m = CrossPlatformMonitor::for_clickstream(
-            "clickstream",
-            "storm-cluster",
-            "click-aggregates",
-        );
-        let e = populated_engine();
-        let snap = m.snapshot(
-            e.metrics(),
-            SimTime::from_secs(120),
-            SimDuration::from_mins(1),
-        );
+        let snap = snapshot(SimTime::from_secs(120), SimDuration::from_mins(1));
         let table = snap.to_table();
         assert!(table.contains("CpuUtilization"));
         assert!(table.contains("ingestion"));

@@ -12,9 +12,9 @@
 //!
 //! 1. re-runs the [`DependencyAnalyzer`] over the trailing analysis
 //!    window;
-//! 2. converts each confirmed dependency into a [`Constraint`] ratio
-//!    band (the paper's Eq. 5) anchored at the layers' observed deployed
-//!    resource levels;
+//! 2. converts each confirmed dependency into a
+//!    [`Constraint`](crate::share::Constraint) ratio band (the paper's
+//!    Eq. 5) anchored at the layers' observed deployed resource levels;
 //! 3. re-solves the share problem under the budget with NSGA-II;
 //! 4. publishes the selected plan's shares as the new per-layer bounds.
 
@@ -42,14 +42,19 @@ pub enum PlanSelection {
     MaxAnalytics,
     /// The plan with the largest storage share.
     MaxStorage,
-    /// The plan with the most even spend across layers.
+    /// The plan with the most even spend across layers, each share
+    /// priced at the solved problem's `unit_prices`.
     Balanced,
 }
 
 impl PlanSelection {
-    /// Apply the policy to a non-empty plan list.
+    /// Apply the policy to a non-empty plan list solved from `problem`.
     #[expect(clippy::expect_used, reason = "invariant stated in the expect message")]
-    pub fn pick<'a>(&self, plans: &'a [ResourceShares]) -> &'a ResourceShares {
+    pub fn pick<'a>(
+        &self,
+        problem: &ShareProblem,
+        plans: &'a [ResourceShares],
+    ) -> &'a ResourceShares {
         assert!(!plans.is_empty(), "cannot select from an empty plan list");
         let max_of = |layer: Layer| {
             plans
@@ -62,36 +67,29 @@ impl PlanSelection {
             PlanSelection::MaxStorage => max_of(Layer::STORAGE),
             PlanSelection::Balanced => plans
                 .iter()
-                .min_by(|a, b| balance_score(a).total_cmp(&balance_score(b))),
+                .min_by(|a, b| balance_score(problem, a).total_cmp(&balance_score(problem, b))),
         };
         picked.expect("plans verified non-empty by the assert above")
     }
 }
 
-/// Hourly list price of one unit of `layer`'s resource. Unknown layers
-/// price at zero — they then carry no weight in the balance score.
-fn layer_unit_price(prices: &flower_cloud::PriceList, layer: Layer) -> f64 {
-    if layer == Layer::INGESTION {
-        prices.shard_hour
-    } else if layer == Layer::ANALYTICS {
-        prices.vm_hour
-    } else if layer == Layer::STORAGE {
-        prices.wcu_hour
-    } else if layer == Layer::CACHE {
-        prices.cache_node_hour
-    } else {
-        0.0
-    }
-}
-
 /// Spread of per-layer spend (smaller = more even), over whatever layers
-/// the plan covers (ascending layer order).
-fn balance_score(plan: &ResourceShares) -> f64 {
-    let prices = flower_cloud::PriceList::default();
+/// the plan covers (ascending layer order). A layer `problem` does not
+/// encode prices at zero and carries no weight.
+fn balance_score(problem: &ShareProblem, plan: &ResourceShares) -> f64 {
+    let unit_price = |layer: Layer| {
+        problem
+            .layers
+            .iter()
+            .position(|&l| l == layer)
+            .and_then(|i| problem.unit_prices.get(i))
+            .copied()
+            .unwrap_or(0.0)
+    };
     let spends: Vec<f64> = plan
         .shares
         .iter()
-        .map(|(layer, units)| units * layer_unit_price(&prices, layer))
+        .map(|(layer, units)| units * unit_price(layer))
         .collect();
     if spends.is_empty() {
         return 0.0;
@@ -479,7 +477,11 @@ impl Replanner {
             self.warm = Some(WarmState { signature, archive });
         }
 
-        let plan = self.config.selection.pick(&solution.plans).clone();
+        let plan = self
+            .config
+            .selection
+            .pick(&problem, &solution.plans)
+            .clone();
         Ok(ReplanOutcome {
             at: now,
             dependencies: deps.len(),
@@ -557,18 +559,29 @@ mod tests {
     #[test]
     fn selection_policies_pick_expected_plans() {
         let plans = plans();
-        assert_eq!(PlanSelection::MaxIngestion.pick(&plans).shards(), 10.0);
-        assert_eq!(PlanSelection::MaxAnalytics.pick(&plans).vms(), 4.0);
-        assert_eq!(PlanSelection::MaxStorage.pick(&plans).wcu(), 900.0);
+        let problem = ShareProblem::worked_example(1.0);
+        let pick = |selection: PlanSelection| selection.pick(&problem, &plans);
+        assert_eq!(pick(PlanSelection::MaxIngestion).shards(), 10.0);
+        assert_eq!(pick(PlanSelection::MaxAnalytics).vms(), 4.0);
+        assert_eq!(pick(PlanSelection::MaxStorage).wcu(), 900.0);
         // Balanced: spend vectors are (0.15,0.2,0.065), (0.06,0.4,0.13),
         // (0.03,0.1,0.585) → the first is the most even.
-        assert_eq!(PlanSelection::Balanced.pick(&plans).shards(), 10.0);
+        assert_eq!(pick(PlanSelection::Balanced).shards(), 10.0);
+        // The weights are the problem's prices: with free VMs the spend
+        // vectors become (0.15,0,0.065), (0.06,0,0.13), (0.03,0,0.585)
+        // → the second is the most even.
+        let mut free_vms = ShareProblem::worked_example(1.0);
+        free_vms.unit_prices[1] = 0.0;
+        assert_eq!(
+            PlanSelection::Balanced.pick(&free_vms, &plans).shards(),
+            4.0
+        );
     }
 
     #[test]
     #[should_panic(expected = "empty plan list")]
     fn selection_from_empty_panics() {
-        PlanSelection::Balanced.pick(&[]);
+        PlanSelection::Balanced.pick(&ShareProblem::worked_example(1.0), &[]);
     }
 
     fn populated_store(minutes: u64) -> MetricsStore {

@@ -6,8 +6,10 @@
 //! period". This module captures the wizard's full outcome — flow,
 //! workload, controllers, monitoring period, seed — as a
 //! [`WizardConfig`] that round-trips through a simple `key = value`
-//! text format (INI-like, hand-parsed so the dependency set stays small)
-//! and materializes into a runnable [`ElasticityManager`].
+//! text format and materializes into a runnable [`ElasticityManager`].
+//! The file is read with [`flower_sim::conf`], the reader of the fleet
+//! and fault-plan files, less their `[[section]]` headers: a `#` outside
+//! quotes starts a comment, and a quoted value loses its quotes.
 //!
 //! ```text
 //! # flower wizard config
@@ -29,6 +31,7 @@
 
 use std::collections::BTreeMap;
 
+use flower_sim::conf::{self, Line};
 use flower_sim::SimDuration;
 use flower_workload::Scenario;
 
@@ -112,21 +115,23 @@ impl WizardConfig {
 
     /// Parse the wizard format. Unknown keys are rejected (a typo in a
     /// config must not be silently ignored); missing keys fall back to
-    /// the demo defaults.
+    /// the demo defaults. Values the manager builder would assert
+    /// against (a zero period, a rate that is not positive) are errors
+    /// naming their key.
     pub fn from_text(text: &str) -> Result<WizardConfig, FlowerError> {
-        let mut map: BTreeMap<String, String> = BTreeMap::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+        let invalid = FlowerError::InvalidConfig;
+        let mut map: BTreeMap<&str, &str> = BTreeMap::new();
+        for line in conf::lines(text) {
+            match line.map_err(invalid)? {
+                (_, Line::Pair { key, value }) => {
+                    map.insert(key, value);
+                }
+                (lineno, Line::Section(name)) => {
+                    return Err(invalid(format!(
+                        "line {lineno}: the wizard format has no sections, got [[{name}]]"
+                    )));
+                }
             }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(FlowerError::InvalidConfig(format!(
-                    "line {}: expected 'key = value', got '{line}'",
-                    lineno + 1
-                )));
-            };
-            map.insert(key.trim().to_owned(), value.trim().to_owned());
         }
 
         const KNOWN: [&str; 13] = [
@@ -145,38 +150,32 @@ impl WizardConfig {
             "monitoring.period_secs",
         ];
         for key in map.keys() {
-            if key != "seed" && !KNOWN.contains(&key.as_str()) {
-                return Err(FlowerError::InvalidConfig(format!("unknown key '{key}'")));
+            if *key != "seed" && !KNOWN.contains(key) {
+                return Err(invalid(format!("unknown key '{key}'")));
             }
         }
 
         let defaults = WizardConfig::demo_default();
-        let get = |k: &str| map.get(k).map(String::as_str);
+        let get = |k: &str| map.get(k).copied();
         let parse_u64 = |k: &str, d: u64| -> Result<u64, FlowerError> {
-            match get(k) {
-                None => Ok(d),
-                Some(v) => v.parse().map_err(|_| {
-                    FlowerError::InvalidConfig(format!("{k}: '{v}' is not an integer"))
-                }),
-            }
+            get(k).map_or(Ok(d), |v| conf::parse_u64(k, v).map_err(invalid))
+        };
+        let parse_u32 = |k: &str, d: u32| -> Result<u32, FlowerError> {
+            u32::try_from(parse_u64(k, d.into())?)
+                .map_err(|_| invalid(format!("`{k}` must fit a 32-bit count")))
         };
         let parse_f64 = |k: &str, d: f64| -> Result<f64, FlowerError> {
-            match get(k) {
-                None => Ok(d),
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| FlowerError::InvalidConfig(format!("{k}: '{v}' is not a number"))),
-            }
+            get(k).map_or(Ok(d), |v| conf::parse_f64(k, v).map_err(invalid))
         };
 
         let flow = FlowBuilder::new(get("flow.name").unwrap_or(&defaults.flow.name))
             .ingestion(Platform::kinesis(
                 get("ingestion.name").unwrap_or("clicks"),
-                parse_u64("ingestion.shards", 2)? as u32,
+                parse_u32("ingestion.shards", 2)?,
             ))
             .analytics(Platform::storm(
                 get("analytics.name").unwrap_or("counter"),
-                parse_u64("analytics.vms", 2)? as u32,
+                parse_u32("analytics.vms", 2)?,
             ))
             .storage(Platform::dynamo(
                 get("storage.name").unwrap_or("aggregates"),
@@ -199,10 +198,23 @@ impl WizardConfig {
                 }
             };
 
+        let rate = parse_f64("workload.rate", defaults.rate)?;
+        if rate <= 0.0 {
+            return Err(invalid(format!(
+                "`workload.rate` must be > 0, got `{rate}`"
+            )));
+        }
+        let period_secs = parse_u64("monitoring.period_secs", defaults.period_secs)?;
+        if period_secs == 0 {
+            return Err(invalid(
+                "`monitoring.period_secs` must be at least 1, got `0`".to_owned(),
+            ));
+        }
+
         Ok(WizardConfig {
             flow,
             scenario,
-            rate: parse_f64("workload.rate", defaults.rate)?,
+            rate,
             controllers: {
                 let [d_ingest, d_analytics, d_storage] = &defaults.controllers;
                 [
@@ -211,7 +223,7 @@ impl WizardConfig {
                     controller_for("controller.storage", d_storage)?,
                 ]
             },
-            period_secs: parse_u64("monitoring.period_secs", defaults.period_secs)?,
+            period_secs,
             seed: parse_u64("seed", defaults.seed)?,
         })
     }
@@ -326,6 +338,24 @@ mod tests {
         assert!(WizardConfig::from_text("controller.ingestion = psychic\n").is_err());
         assert!(WizardConfig::from_text("controller.ingestion = psychic:60\n").is_err());
         assert!(WizardConfig::from_text("controller.ingestion = adaptive:hot\n").is_err());
+        // Values the manager builder would assert against name their key.
+        for (text, key) in [
+            ("monitoring.period_secs = 0", "monitoring.period_secs"),
+            ("workload.rate = inf", "workload.rate"),
+            ("workload.rate = NaN", "workload.rate"),
+            ("workload.rate = -500", "workload.rate"),
+            ("workload.rate = 0", "workload.rate"),
+            ("storage.wcu = NaN", "storage.wcu"),
+            ("storage.wcu = inf", "storage.wcu"),
+            ("ingestion.shards = 4294967298", "ingestion.shards"),
+        ] {
+            let err = WizardConfig::from_text(text).unwrap_err().to_string();
+            assert!(err.contains(key), "{text}: {err}");
+        }
+        // Finite but out of the table's range: the flow builder says so.
+        let err = WizardConfig::from_text("storage.wcu = 1e9").unwrap_err();
+        assert!(err.to_string().contains("WCU"), "{err}");
+        assert!(WizardConfig::from_text("[[flow]]\nseed = 1").is_err());
     }
 
     #[test]

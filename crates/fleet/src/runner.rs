@@ -21,7 +21,7 @@
 //! (`allowed/spent`, clamped to `[0.25, 1]`) that scales its claim from
 //! that window's end onward. The *overspend* pass recomputes the
 //! timeline under the penalties and re-runs only the tenants whose
-//! [`EpisodePlan`] changed; every other tenant keeps its probe run.
+//! `EpisodePlan` changed; every other tenant keeps its probe run.
 //! That is exact: a fresh manager on the deterministic core emits the
 //! same bytes for equal inputs, and a tenant without a replanner has no
 //! budget input at all. Both passes are deterministic, so the merged

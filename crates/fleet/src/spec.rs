@@ -403,6 +403,38 @@ impl FlowDraft {
         })
     }
 
+    /// The range checks the episode builder would otherwise assert:
+    /// rates `>= 0` (`parse_f64` already made them finite), a replan
+    /// budget `> 0`, and replan periods of at least one minute.
+    fn check(&self) -> Result<(), FleetError> {
+        let rates = [
+            ("rate", self.rate),
+            ("base", self.base),
+            ("amplitude", self.amplitude),
+            ("before", self.before),
+            ("after", self.after),
+            ("spike", self.spike),
+        ];
+        for (key, value) in rates {
+            if let Some(v) = value.filter(|v| *v < 0.0) {
+                return Err(FleetError(format!("`{key}` must be >= 0, got `{v}`")));
+            }
+        }
+        if let Some(b) = self.replan_budget.filter(|b| *b <= 0.0) {
+            return Err(FleetError(format!(
+                "`replan_budget` must be > 0, got `{b}`"
+            )));
+        }
+        let periods = [
+            ("replan_cadence_mins", self.replan_cadence_mins),
+            ("replan_window_mins", self.replan_window_mins),
+        ];
+        match periods.into_iter().find(|&(_, mins)| mins == Some(0)) {
+            Some((key, _)) => Err(FleetError(format!("`{key}` must be >= 1, got `0`"))),
+            None => Ok(()),
+        }
+    }
+
     /// Expand the draft into its tenants: one, or `clones` many with
     /// derived ids (`{id}-000`, …) and staggered seeds.
     fn finish(self) -> Result<Vec<TenantSpec>, FleetError> {
@@ -410,6 +442,7 @@ impl FlowDraft {
             .id
             .as_deref()
             .ok_or_else(|| FleetError("[[flow]] needs an `id`".to_owned()))?;
+        self.check()?;
         let workload = self.workload()?;
         let episode = EpisodeConfig {
             seed: self.seed.unwrap_or(0),
@@ -555,6 +588,26 @@ mod tests {
             "unbalanced quote"
         );
         assert!(FleetSpec::parse("[[fault]]\nkind = \"reject\"").is_err());
+        // Values the episode builder would assert against name their key.
+        for (body, key) in [
+            ("rate = -5.0", "rate"),
+            (
+                "workload = \"diurnal\"\nbase = 10.0\namplitude = -1.0",
+                "amplitude",
+            ),
+            ("replan_budget = 0.0", "replan_budget"),
+            (
+                "replan_budget = 1.0\nreplan_cadence_mins = 0",
+                "replan_cadence_mins",
+            ),
+            (
+                "replan_budget = 1.0\nreplan_window_mins = 0",
+                "replan_window_mins",
+            ),
+        ] {
+            let err = FleetSpec::parse(&format!("[[flow]]\nid = \"x\"\n{body}")).unwrap_err();
+            assert!(err.to_string().contains(key), "{body}: {err}");
+        }
     }
 
     #[test]

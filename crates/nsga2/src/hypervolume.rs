@@ -19,8 +19,9 @@
 /// # Panics
 /// Panics when the reference's dimensionality is not 2 or 3. Points
 /// must match the reference's dimension: mismatches are caught by a
-/// debug assertion in [`nondominated_filter`]; release-build behavior
-/// on a violated contract is unspecified (see the filter's docs).
+/// debug assertion in the module's non-dominated filter; release-build
+/// behavior on a violated contract is unspecified (see the filter's
+/// docs).
 #[expect(
     clippy::panic,
     reason = "documented contract — the indicator is defined for 2 and 3 objectives only"

@@ -32,7 +32,7 @@
 //! * [`operators`] — simulated binary crossover (SBX), polynomial
 //!   mutation, and binary tournament selection.
 //! * [`algorithm`] — the generational loop with (μ+λ) elitist survival.
-//! * [`hypervolume`] — exact hypervolume indicators for 2- and
+//! * [`hypervolume`](mod@hypervolume) — exact hypervolume indicators for 2- and
 //!   3-objective fronts, used by the ablation benches to compare NSGA-II
 //!   against naive search.
 //!

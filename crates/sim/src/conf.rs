@@ -1,11 +1,12 @@
-//! The TOML-subset line reader shared by the fleet and fault-plan files.
+//! The TOML-subset line reader shared by the fleet, fault-plan and
+//! wizard files.
 //!
-//! Both formats are `[[section]]` headers plus `key = value` lines. A
-//! `#` outside quotes starts a comment. A value is either bare or a
-//! single `"…"` string with no quote inside it (there are no escapes).
-//! Which sections and keys exist, and what the values mean, is the
-//! caller's business; [`parse_u64`] and [`parse_f64`] are the two
-//! number rules both callers share.
+//! The formats are `[[section]]` headers plus `key = value` lines (the
+//! wizard file rejects sections). A `#` outside quotes starts a comment.
+//! A value is either bare or a single `"…"` string with no quote inside
+//! it (there are no escapes). Which sections and keys exist, and what
+//! the values mean, is the caller's business; [`parse_u64`] and
+//! [`parse_f64`] are the two number rules every caller shares.
 
 /// One meaningful line of a TOML-subset file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

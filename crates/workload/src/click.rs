@@ -1,6 +1,6 @@
 //! Click-stream record generation.
 //!
-//! Turns an [`ArrivalProcess`](crate::arrival::ArrivalProcess) intensity
+//! Turns a [`crate::arrival::ArrivalProcess`] intensity
 //! into concrete click records: each simulated user browses a site in
 //! sessions (page-view counts geometrically distributed), page popularity
 //! follows a Zipf-like law, and each record carries the user id as its

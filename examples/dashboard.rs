@@ -34,7 +34,7 @@ fn main() {
         .build()
         .expect("workload attached above");
 
-    let mut monitor = CrossPlatformMonitor::for_clickstream("clicks", "counter", "aggregates");
+    let mut monitor = CrossPlatformMonitor::for_engine(manager.engine());
 
     // Simulate a live session: advance 15 minutes at a time and re-render
     // the consolidated view, as the demo's audience would watch it.

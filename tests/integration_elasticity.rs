@@ -5,9 +5,11 @@
 //! flower-control driving the flower-cloud services through flower-core's
 //! provisioning manager.
 
+use flower_chaos::{FaultClause, FaultKind};
 use flower_core::config::ControllerSpec;
 use flower_core::flow::{clickstream_flow, Layer};
 use flower_core::prelude::*;
+use flower_obs::{kind, parse_trace, Recorder, Trace};
 use flower_sim::{SimDuration, SimTime};
 
 fn run(spec: ControllerSpec, workload: Workload, minutes: u64, seed: u64) -> EpisodeReport {
@@ -187,25 +189,27 @@ fn rejections_are_tracked_not_fatal() {
     assert_eq!(report.arrival_trace.len(), 120 * 60);
 }
 
-#[test]
-fn rcu_loop_manages_read_capacity() {
-    use flower_cloud::ReadWorkloadConfig;
-
-    // Heavy read traffic against a table provisioned with the default
-    // 50 RCU; the fourth control loop must grow read capacity while the
-    // write loops manage the rest of the flow.
-    let mut manager = ElasticityManager::builder(clickstream_flow())
+/// Heavy read traffic against a table provisioned with the default
+/// 50 RCU (300 reads/s of 2 KiB, eventually consistent), with the
+/// read-capacity loop on.
+fn read_heavy() -> flower_core::elasticity::ElasticityManagerBuilder {
+    ElasticityManager::builder(clickstream_flow())
         .workload(Workload::constant(1_500.0))
-        .read_workload(ReadWorkloadConfig {
-            base_rate: 300.0, // 300 reads/s of 2 KiB eventually-consistent
+        .read_workload(flower_cloud::ReadWorkloadConfig {
+            base_rate: 300.0,
             per_record: 0.0,
             avg_item_bytes: 2_048,
             eventually_consistent: true,
         })
         .rcu_controller(ControllerSpec::adaptive_for_capacity(70.0), 1.0, 2_000.0)
         .seed(12)
-        .build()
-        .unwrap();
+}
+
+#[test]
+fn rcu_loop_manages_read_capacity() {
+    // The fourth control loop must grow read capacity while the write
+    // loops manage the rest of the flow.
+    let mut manager = read_heavy().build().unwrap();
     let report = manager.run_for_mins(60);
 
     // Demand ≈ 150 RCU/s; at the 70% target the loop converges toward
@@ -235,11 +239,7 @@ fn rcu_loop_manages_read_capacity() {
         manager.engine().dynamo().decreases_today()
     );
     // And the read metrics exist in the store for the monitor.
-    let monitor = flower_core::monitor::CrossPlatformMonitor::for_clickstream(
-        "clicks",
-        "counter",
-        "aggregates",
-    );
+    let monitor = flower_core::monitor::CrossPlatformMonitor::for_engine(manager.engine());
     let snap = monitor.snapshot(
         manager.engine().metrics(),
         manager.now(),
@@ -247,6 +247,103 @@ fn rcu_loop_manages_read_capacity() {
     );
     assert!(snap.row("ConsumedReadCapacityUnits").is_some());
     assert!(snap.row("ProvisionedReadCapacityUnits").unwrap().latest > 100.0);
+}
+
+/// The read-heavy episode, traced, with the resilience policy on and a
+/// replanner whose re-solve fans out over `workers` threads.
+fn traced_read_heavy(faults: FaultPlan, workers: usize) -> (EpisodeReport, Trace) {
+    let config = ReplanConfig {
+        workers: Some(workers),
+        ..Default::default()
+    };
+    let problem = ShareProblem::worked_example(1.0);
+    let mut manager = read_heavy()
+        .replanner(Replanner::for_clickstream(
+            config,
+            "clicks",
+            "counter",
+            "aggregates",
+            problem,
+        ))
+        .resilience(ResilienceConfig::default())
+        .faults(faults)
+        .recorder(Recorder::with_capacity(65_536))
+        .build()
+        .unwrap();
+    let report = manager.run_for_mins(40);
+    let trace = parse_trace(&manager.recorder().to_jsonl()).unwrap();
+    (report, trace)
+}
+
+/// `(layer, measurement, applied)` of every `control.decision` event
+/// of a layer in `layers` (every layer when empty).
+fn decisions(trace: &Trace, layers: &[&str]) -> Vec<(String, f64, f64)> {
+    let events = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == kind::CONTROL_DECISION);
+    events
+        .filter_map(|e| {
+            let layer = e
+                .str("layer")
+                .filter(|l| layers.is_empty() || layers.contains(l))?;
+            Some((layer.to_owned(), e.f64("measurement")?, e.f64("applied")?))
+        })
+        .collect()
+}
+
+#[test]
+fn rcu_loop_is_traced_like_every_other_loop() {
+    let (report, trace) = traced_read_heavy(FaultPlan::none(), 1);
+    let has = |k: &str, field: &str, value: &str| {
+        let mut events = trace.events.iter();
+        events.any(|e| e.kind == k && e.str(field) == Some(value))
+    };
+    assert!(has(kind::CONTROL_DECISION, "layer", "storage_read"));
+    assert!(has(kind::CONTROL_GAIN, "layer", "storage_read"));
+    assert!(has(kind::CLOUD_RESIZE, "resource", "rcu"));
+    // A replan round ran, so the worker count below has work to split.
+    assert!(trace.counts_by_kind().contains_key(kind::NSGA2_GENERATION));
+    // The read loop is an actuator, not a registered layer: reports
+    // and genomes keep the paper's three.
+    assert_eq!(report.layers, Layer::ALL.to_vec());
+
+    let (_, wide) = traced_read_heavy(FaultPlan::none(), 8);
+    assert_eq!(trace.to_jsonl(), wide.to_jsonl(), "1 vs 8 workers");
+}
+
+#[test]
+fn a_storage_read_fault_reaches_only_the_read_loop() {
+    let reject_reads = FaultPlan {
+        seed: 4,
+        clauses: vec![FaultClause {
+            layer: Some("storage_read".to_owned()),
+            from: SimTime::ZERO,
+            until: SimTime::from_secs(100),
+            kind: FaultKind::Reject { p: 1.0 },
+        }],
+    };
+    let (_, clean) = traced_read_heavy(FaultPlan::none(), 1);
+    let (_, faulted) = traced_read_heavy(reject_reads, 1);
+
+    let layers_of = |k: &str| -> Vec<&str> {
+        let events = faulted.events.iter().filter(|e| e.kind == k);
+        events.map(|e| e.str("layer").unwrap()).collect()
+    };
+    let faults = layers_of(kind::CHAOS_FAULT);
+    assert!(!faults.is_empty() && faults.iter().all(|&l| l == "storage_read"));
+    // Organic rejections elsewhere (the table's decrease limit) retry
+    // too; the injected ones retry under the read loop's layer.
+    assert!(layers_of(kind::RESILIENCE_RETRY).contains(&"storage_read"));
+
+    // Ingestion and analytics decide exactly as without the fault. The
+    // write loop may not: DynamoDB's daily decrease budget is shared by
+    // the table's read and write capacity, so read decreases the fault
+    // blocked leave the write loop more of it.
+    let upstream = ["ingestion", "analytics"];
+    assert!(!decisions(&clean, &upstream).is_empty());
+    assert_eq!(decisions(&clean, &upstream), decisions(&faulted, &upstream));
+    assert_ne!(decisions(&clean, &[]), decisions(&faulted, &[]));
 }
 
 #[test]

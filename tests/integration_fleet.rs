@@ -155,6 +155,42 @@ fn the_ci_smoke_fleet_is_byte_identical_at_1_and_8_workers() {
     assert!(one.events.len() < trace.events.len());
 }
 
+/// The merged trace of a small fleet whose two replanning tenants hold
+/// slices they can meet: fair-share splits `budget` four ways, and the
+/// worked example's cheapest plan costs about $0.13/h.
+fn replanning_fleet(budget: f64, workers: usize) -> String {
+    let spec = FleetSpec::parse(&format!(
+        "budget = {budget}\nsettle_mins = 5\nhorizon_mins = 20\n\
+         [[flow]]\nid = \"busy\"\nclones = 2\nseed = 2000\nrate = 150.0\nfast_forward = true\n\
+         [[flow]]\nid = \"wave\"\nclones = 2\nseed = 3000\nworkload = \"diurnal\"\n\
+         base = 300.0\namplitude = 200.0\nreplan_budget = 1.0\nreplan_cadence_mins = 5\n"
+    ));
+    let fleet = Fleet::new(spec.unwrap()).unwrap();
+    fleet.run(Executor::new(workers)).unwrap().merged_trace
+}
+
+#[test]
+fn a_reassigned_budget_reaches_the_replanner() {
+    let (lean, rich) = (replanning_fleet(1.2, 1), replanning_fleet(2.4, 1));
+    // `(t_ms, hourly_cost)` of every `replan.outcome` of tenant `flow`.
+    let outcomes = |merged: &str, flow: &str| -> Vec<(u64, f64)> {
+        let mut trace = parse_trace(merged).unwrap();
+        trace.retain_flow(flow);
+        let events = trace.events.iter().filter(|e| e.kind == "replan.outcome");
+        events
+            .map(|e| (e.t_ms, e.f64("hourly_cost").unwrap()))
+            .collect()
+    };
+    for flow in ["wave-000", "wave-001"] {
+        let (lean, rich) = (outcomes(&lean, flow), outcomes(&rich, flow));
+        assert!(!lean.is_empty() && !rich.is_empty(), "{flow}: no outcome");
+        // Every plan fits the fair-share slice the broker handed over.
+        assert!(lean.iter().all(|&(_, cost)| cost <= 1.2 / 4.0), "{lean:?}");
+        assert_ne!(lean, rich, "{flow}: the budget never arrived");
+    }
+    assert!(lean == replanning_fleet(1.2, 8), "1 vs 8 workers");
+}
+
 /// An event line with its `{"seq":N,` prefix and its `flow` stamp
 /// removed: what a fleet tenant's line shares with a standalone trace.
 fn unstamped(line: &str, flow: &str) -> String {

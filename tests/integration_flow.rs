@@ -83,7 +83,7 @@ fn analytics_storage_dependency_also_holds() {
 #[test]
 fn monitor_consolidates_all_three_services() {
     let engine = populated_engine(10, 3);
-    let monitor = CrossPlatformMonitor::for_clickstream("clicks", "counter", "aggregates");
+    let monitor = CrossPlatformMonitor::for_engine(&engine);
     let snap = monitor.snapshot(
         engine.metrics(),
         SimTime::from_mins(10),

@@ -85,7 +85,7 @@ fn end_to_end_paper_workflow() {
     assert!(max_shards <= plan.shards().max(2.0) + 1e-9);
 
     // ---- Phase 4 (§3.4): the consolidated monitor sees the episode.
-    let monitor = CrossPlatformMonitor::for_clickstream("clicks", "counter", "aggregates");
+    let monitor = CrossPlatformMonitor::for_engine(manager.engine());
     let snap = monitor.snapshot(
         manager.engine().metrics(),
         manager.now(),
