@@ -292,8 +292,9 @@ mod tests {
 
     fn store_with(values: &[f64]) -> MetricsStore {
         let mut store = MetricsStore::new();
+        let cpu = store.register(id());
         for (i, &v) in values.iter().enumerate() {
-            store.put(id(), SimTime::from_secs(i as u64 * 60), v);
+            store.push(cpu, SimTime::from_secs(i as u64 * 60), v);
         }
         store
     }
@@ -393,10 +394,11 @@ mod tests {
         // zero the breaching streak, so the next breach still fires.
         let mut alarm = cpu_alarm(2).tolerate_missing(1);
         let mut store = MetricsStore::new();
-        store.put(id(), SimTime::from_secs(0), 50.0);
-        store.put(id(), SimTime::from_secs(60), 90.0);
+        let cpu = store.register(id());
+        store.push(cpu, SimTime::from_secs(0), 50.0);
+        store.push(cpu, SimTime::from_secs(60), 90.0);
         // 120–180s left empty (dropout), breach resumes at 180s.
-        store.put(id(), SimTime::from_secs(180), 95.0);
+        store.push(cpu, SimTime::from_secs(180), 95.0);
         alarm.evaluate(&store, SimTime::from_secs(60)); // 50 → OK
         assert!(alarm.evaluate(&store, SimTime::from_secs(120)).is_none()); // breach #1
         assert!(alarm.evaluate(&store, SimTime::from_secs(180)).is_none()); // gap, held
@@ -410,9 +412,10 @@ mod tests {
     fn fresh_data_resets_missing_streak() {
         let mut alarm = cpu_alarm(1).tolerate_missing(1);
         let mut store = MetricsStore::new();
-        store.put(id(), SimTime::from_secs(0), 90.0);
-        store.put(id(), SimTime::from_secs(120), 90.0);
-        store.put(id(), SimTime::from_secs(240), 90.0);
+        let cpu = store.register(id());
+        store.push(cpu, SimTime::from_secs(0), 90.0);
+        store.push(cpu, SimTime::from_secs(120), 90.0);
+        store.push(cpu, SimTime::from_secs(240), 90.0);
         alarm.evaluate(&store, SimTime::from_secs(60)); // → ALARM
         assert_eq!(alarm.state(), AlarmState::Alarm);
         // Alternating gap/data stays in ALARM throughout: each gap is

@@ -274,7 +274,10 @@ impl DynamoTable {
         Ok(())
     }
 
-    fn settle_rcu_update(&mut self, now: SimTime) {
+    /// Land a pending read-capacity change whose latency has passed.
+    /// Reads do this themselves; the engine calls it on a tick with no
+    /// read traffic, since a table resizes whether or not it is read.
+    pub(crate) fn settle_rcu_update(&mut self, now: SimTime) {
         if let Some((target, ready)) = self.pending_rcu_update {
             if now >= ready {
                 self.provisioned_rcu = target;

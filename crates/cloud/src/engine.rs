@@ -21,7 +21,7 @@ use crate::cache::{CacheCluster, CacheConfig, CacheError, CacheOutcome};
 use crate::dynamo::{DynamoConfig, DynamoError, DynamoTable, ReadOutcome, WriteOutcome};
 use crate::kinesis::{IngestOutcome, KinesisConfig, KinesisError, KinesisStream};
 use crate::layer::{LayerId, LayerService, STORAGE_READ};
-use crate::metrics::{MetricId, MetricsStore};
+use crate::metrics::{MetricId, MetricsStore, SeriesHandle};
 use crate::pricing::{BillingMeter, PriceList, ResourceKind};
 use crate::storm::{ProcessOutcome, StormCluster, StormConfig, StormError, Topology};
 
@@ -209,6 +209,11 @@ pub struct CloudEngine {
     dynamo: DynamoTable,
     cache: Option<CacheCluster>,
     metrics: MetricsStore,
+    /// The three layers' series, registered once, in the order
+    /// [`CloudEngine::publish_metrics`] lists their values.
+    flow_series: [SeriesHandle; FLOW_SERIES],
+    /// The cache tier's series, when one is deployed.
+    cache_series: Option<[SeriesHandle; CACHE_SERIES]>,
     billing: BillingMeter,
     last_cost_total: f64,
     /// Fractional read items carried between ticks so the configured
@@ -225,13 +230,21 @@ impl CloudEngine {
         let storm = StormCluster::new(config.storm.clone(), config.topology.clone());
         let dynamo = DynamoTable::new(config.dynamo.clone());
         let cache = config.cache.clone().map(CacheCluster::new);
+        let mut metrics = MetricsStore::new();
+        let flow_series =
+            register_flow_series(&mut metrics, kinesis.name(), storm.name(), dynamo.name());
+        let cache_series = cache
+            .as_ref()
+            .map(|cache| register_cache_series(&mut metrics, cache.name()));
         CloudEngine {
             config,
             kinesis,
             storm,
             dynamo,
             cache,
-            metrics: MetricsStore::new(),
+            metrics,
+            flow_series,
+            cache_series,
             billing: BillingMeter::new(),
             last_cost_total: 0.0,
             read_carry: 0.0,
@@ -271,22 +284,21 @@ impl CloudEngine {
     /// This order is the determinism contract everything downstream
     /// leans on: genome encodings, trace exports, and episode reports
     /// all iterate layers the way this registry yields them.
-    pub fn services(&self) -> Vec<&dyn LayerService> {
-        let mut services: Vec<&dyn LayerService> = vec![&self.kinesis, &self.storm, &self.dynamo];
-        if let Some(cache) = &self.cache {
-            services.push(cache);
-        }
-        services
+    pub fn services(&self) -> impl Iterator<Item = &dyn LayerService> {
+        let layers: [&dyn LayerService; 3] = [&self.kinesis, &self.storm, &self.dynamo];
+        layers
+            .into_iter()
+            .chain(self.cache.as_ref().map(|cache| cache as &dyn LayerService))
     }
 
     /// The registered layers, in ascending [`LayerId`] order.
     pub fn layer_ids(&self) -> Vec<LayerId> {
-        self.services().into_iter().map(LayerService::id).collect()
+        self.services().map(LayerService::id).collect()
     }
 
     /// The service occupying `layer`, if registered.
     pub fn service(&self, layer: LayerId) -> Option<&dyn LayerService> {
-        self.services().into_iter().find(|s| s.id() == layer)
+        self.services().find(|s| s.id() == layer)
     }
 
     fn service_mut(&mut self, layer: LayerId) -> Option<&mut dyn LayerService> {
@@ -443,11 +455,13 @@ impl CloudEngine {
                 dt,
             )
         } else {
-            // No read traffic; still step the cache so in-flight fleet
-            // resizes settle on time.
+            // No read traffic; still step the cache and land a pending
+            // read-capacity change, so in-flight resizes settle (and
+            // bill) on time.
             if let Some(cache) = &mut self.cache {
                 cache_outcome = Some(cache.serve(0, now, dt));
             }
+            self.dynamo.settle_rcu_update(now);
             ReadOutcome::idle()
         };
 
@@ -555,34 +569,23 @@ impl CloudEngine {
 
     /// Publish the cache tier's metrics for the tick, when deployed.
     fn publish_cache_metrics(&mut self, now: SimTime, outcome: Option<&CacheOutcome>) {
-        use metric_names::*;
-        let Some(cache) = &self.cache else { return };
-        let Some(outcome) = outcome else { return };
-        let name = cache.name().to_owned();
-        let nodes = cache.nodes();
-        let m = &mut self.metrics;
-        m.put(
-            MetricId::new(NS_CACHE, CACHE_REQUESTS, &name),
-            now,
+        let (Some(series), Some(cache), Some(outcome)) = (&self.cache_series, &self.cache, outcome)
+        else {
+            return;
+        };
+        let values = [
             outcome.requests as f64,
-        );
-        m.put(
-            MetricId::new(NS_CACHE, CACHE_HIT_RATIO, &name),
-            now,
             outcome.hit_ratio,
-        );
-        m.put(
-            MetricId::new(NS_CACHE, CACHE_UTILIZATION, &name),
-            now,
             outcome.utilization,
-        );
-        m.put(
-            MetricId::new(NS_CACHE, CACHE_NODES, &name),
-            now,
-            f64::from(nodes),
-        );
+            f64::from(cache.nodes()),
+        ];
+        for (&handle, value) in series.iter().zip(values) {
+            self.metrics.push(handle, now, value);
+        }
     }
 
+    /// Publish the three layers' metrics for the tick, in the order
+    /// [`register_flow_series`] registered them.
     fn publish_metrics(
         &mut self,
         now: SimTime,
@@ -592,105 +595,80 @@ impl CloudEngine {
         write: &WriteOutcome,
         read: &ReadOutcome,
     ) {
-        use metric_names::*;
-        let stream = self.kinesis.name().to_owned();
-        let cluster = self.storm.name().to_owned();
-        let table = self.dynamo.name().to_owned();
-        let m = &mut self.metrics;
-
-        m.put(
-            MetricId::new(NS_KINESIS, INCOMING_RECORDS, &stream),
-            now,
+        let values: [f64; FLOW_SERIES] = [
             offered as f64,
-        );
-        m.put(
-            MetricId::new(NS_KINESIS, WRITE_THROTTLED, &stream),
-            now,
             ingest.throttled as f64,
-        );
-        m.put(
-            MetricId::new(NS_KINESIS, SHARD_UTILIZATION, &stream),
-            now,
             ingest.utilization,
-        );
-        m.put(
-            MetricId::new(NS_KINESIS, OPEN_SHARDS, &stream),
-            now,
             self.kinesis.shards() as f64,
-        );
-        m.put(
-            MetricId::new(NS_KINESIS, MAX_SHARD_UTILIZATION, &stream),
-            now,
             ingest.max_shard_utilization,
-        );
-
-        m.put(
-            MetricId::new(NS_STORM, CPU_UTILIZATION, &cluster),
-            now,
             process.cpu_pct,
-        );
-        m.put(
-            MetricId::new(NS_STORM, TUPLES_PROCESSED, &cluster),
-            now,
             process.processed as f64,
-        );
-        m.put(
-            MetricId::new(NS_STORM, BACKLOG, &cluster),
-            now,
             process.backlog as f64,
-        );
-        m.put(
-            MetricId::new(NS_STORM, PROCESS_LATENCY, &cluster),
-            now,
             process.latency_secs,
-        );
-        m.put(
-            MetricId::new(NS_STORM, RUNNING_VMS, &cluster),
-            now,
             self.storm.running_vms() as f64,
-        );
-
-        m.put(
-            MetricId::new(NS_DYNAMO, CONSUMED_WCU, &table),
-            now,
             write.consumed_wcu,
-        );
-        m.put(
-            MetricId::new(NS_DYNAMO, DYNAMO_THROTTLED, &table),
-            now,
             write.throttled as f64,
-        );
-        m.put(
-            MetricId::new(NS_DYNAMO, WRITE_UTILIZATION, &table),
-            now,
             write.utilization,
-        );
-        m.put(
-            MetricId::new(NS_DYNAMO, PROVISIONED_WCU, &table),
-            now,
             self.dynamo.provisioned_wcu(),
-        );
-        m.put(
-            MetricId::new(NS_DYNAMO, CONSUMED_RCU, &table),
-            now,
             read.consumed_rcu,
-        );
-        m.put(
-            MetricId::new(NS_DYNAMO, DYNAMO_READ_THROTTLED, &table),
-            now,
             read.throttled as f64,
-        );
-        m.put(
-            MetricId::new(NS_DYNAMO, READ_UTILIZATION, &table),
-            now,
             read.utilization,
-        );
-        m.put(
-            MetricId::new(NS_DYNAMO, PROVISIONED_RCU, &table),
-            now,
             self.dynamo.provisioned_rcu(),
-        );
+        ];
+        for (&handle, value) in self.flow_series.iter().zip(values) {
+            self.metrics.push(handle, now, value);
+        }
     }
+}
+
+/// Number of series the three layers publish each tick.
+const FLOW_SERIES: usize = 18;
+/// Number of series a cache tier publishes each tick.
+const CACHE_SERIES: usize = 4;
+
+/// Register the three layers' series: five for the stream, five for the
+/// cluster, eight for the table.
+fn register_flow_series(
+    store: &mut MetricsStore,
+    stream: &str,
+    cluster: &str,
+    table: &str,
+) -> [SeriesHandle; FLOW_SERIES] {
+    use metric_names::*;
+    [
+        (NS_KINESIS, INCOMING_RECORDS, stream),
+        (NS_KINESIS, WRITE_THROTTLED, stream),
+        (NS_KINESIS, SHARD_UTILIZATION, stream),
+        (NS_KINESIS, OPEN_SHARDS, stream),
+        (NS_KINESIS, MAX_SHARD_UTILIZATION, stream),
+        (NS_STORM, CPU_UTILIZATION, cluster),
+        (NS_STORM, TUPLES_PROCESSED, cluster),
+        (NS_STORM, BACKLOG, cluster),
+        (NS_STORM, PROCESS_LATENCY, cluster),
+        (NS_STORM, RUNNING_VMS, cluster),
+        (NS_DYNAMO, CONSUMED_WCU, table),
+        (NS_DYNAMO, DYNAMO_THROTTLED, table),
+        (NS_DYNAMO, WRITE_UTILIZATION, table),
+        (NS_DYNAMO, PROVISIONED_WCU, table),
+        (NS_DYNAMO, CONSUMED_RCU, table),
+        (NS_DYNAMO, DYNAMO_READ_THROTTLED, table),
+        (NS_DYNAMO, READ_UTILIZATION, table),
+        (NS_DYNAMO, PROVISIONED_RCU, table),
+    ]
+    .map(|(namespace, metric, resource)| store.register(MetricId::new(namespace, metric, resource)))
+}
+
+/// Register a cache tier's series, in the order
+/// [`CloudEngine::publish_cache_metrics`] lists their values.
+fn register_cache_series(store: &mut MetricsStore, cluster: &str) -> [SeriesHandle; CACHE_SERIES] {
+    use metric_names::*;
+    [
+        CACHE_REQUESTS,
+        CACHE_HIT_RATIO,
+        CACHE_UTILIZATION,
+        CACHE_NODES,
+    ]
+    .map(|metric| store.register(MetricId::new(NS_CACHE, metric, cluster)))
 }
 
 #[cfg(test)]
@@ -799,6 +777,34 @@ mod tests {
         assert_eq!(e.kinesis().shards(), 6);
         assert_eq!(e.storm().running_vms(), 5);
         assert_eq!(e.dynamo().provisioned_wcu(), 700.0);
+    }
+
+    #[test]
+    fn read_capacity_lands_without_read_traffic() {
+        // The default engine has no read workload, so no tick reads the
+        // table; a read-capacity change must still land and bill.
+        let mut e = engine();
+        assert_eq!(e.config().read_workload, ReadWorkloadConfig::default());
+        e.actuate(STORAGE_READ, 120.0, SimTime::ZERO).unwrap();
+        let latency = e.config().dynamo.update_latency;
+        let dt = SimDuration::from_secs(1);
+        let mut now = SimTime::ZERO;
+        while now < SimTime::ZERO + latency {
+            e.tick(&[], now, dt);
+            assert_eq!(e.dynamo().provisioned_rcu(), 50.0, "landed early at {now}");
+            now += dt;
+        }
+        let billed = e.billing().by_kind(ResourceKind::ReadCapacityUnit);
+        e.tick(&[], now, dt);
+        assert_eq!(e.dynamo().provisioned_rcu(), 120.0);
+        assert_eq!(e.actuator_units(STORAGE_READ), Some(120.0));
+        let tick_rcu = e.billing().by_kind(ResourceKind::ReadCapacityUnit) - billed;
+        let expected =
+            120.0 * e.config().prices.unit_hour(ResourceKind::ReadCapacityUnit) / 3_600.0;
+        assert!(
+            (tick_rcu - expected).abs() < 1e-12 * expected,
+            "the tick billed ${tick_rcu} of RCU, not 120 units' ${expected}"
+        );
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl std::error::Error for KinesisError {}
 /// let mut stream = KinesisStream::new(KinesisConfig::default()); // 2 shards
 /// let mut generator =
 ///     ClickStreamGenerator::new(ClickStreamConfig::default(), SimRng::seed(1));
-/// let batch = generator.generate(SimTime::ZERO, 3_000);
+/// let batch = generator.generate(3_000);
 /// let out = stream.ingest(&batch, SimTime::ZERO, SimDuration::from_secs(1));
 /// // Two shards accept at most 2,000 records/s; the rest throttle.
 /// assert!(out.accepted <= 2_000);
@@ -373,7 +373,7 @@ mod tests {
     fn records(n: u64, seed: u64) -> Vec<ClickRecord> {
         let mut generator =
             ClickStreamGenerator::new(ClickStreamConfig::default(), SimRng::seed(seed));
-        generator.generate(SimTime::ZERO, n)
+        generator.generate(n)
     }
 
     fn stream(shards: u32) -> KinesisStream {

@@ -58,6 +58,6 @@ pub use dynamo::{DynamoConfig, DynamoTable, ReadOutcome, WriteOutcome};
 pub use engine::{CloudEngine, EngineConfig, ReadWorkloadConfig, TickReport};
 pub use kinesis::{IngestOutcome, KinesisConfig, KinesisStream};
 pub use layer::{LayerId, LayerService, ResourceVector, SensorProbe};
-pub use metrics::{MetricId, MetricsStore, Statistic};
+pub use metrics::{MetricId, MetricsStore, SeriesHandle, Statistic};
 pub use pricing::{BillingMeter, PriceList, ResourceKind};
 pub use storm::{Bolt, ProcessOutcome, StormCluster, StormConfig, Topology};

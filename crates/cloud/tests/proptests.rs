@@ -32,7 +32,7 @@ fn kinesis_conserves_records() {
         let mut offered_total = 0u64;
         for (i, &n) in batch_sizes.iter().enumerate() {
             let now = SimTime::from_secs(i as u64);
-            let batch = generator.generate(now, n);
+            let batch = generator.generate(n);
             let out = stream.ingest(&batch, now, DT);
             assert_eq!(out.accepted + out.throttled, n);
             assert!(out.accepted <= u64::from(shards) * 1_000);
@@ -145,7 +145,7 @@ fn engine_monotonicity_and_conservation() {
             let mut last_cost = 0.0;
             for s in 0..20u64 {
                 let now = SimTime::from_secs(s);
-                let batch = generator.generate(now, rate);
+                let batch = generator.generate(rate);
                 let tick = engine.tick(&batch, now, DT);
                 assert!(tick.cost > 0.0, "resources always cost money");
                 assert!(engine.billing().total() > last_cost);

@@ -269,6 +269,8 @@ mod tests {
     /// unrelated storage metric.
     fn synthetic_store(minutes: u64, noise: f64, seed: u64) -> MetricsStore {
         let mut store = MetricsStore::new();
+        let [records_series, cpu_series, unrelated_series] =
+            ["records", "cpu", "unrelated"].map(|m| store.register(MetricId::new("ns", m, "res")));
         let mut rng = SimRng::seed(seed);
         for m in 0..minutes {
             let t = SimTime::from_mins(m);
@@ -278,9 +280,9 @@ mod tests {
             let records = records.max(0.0);
             let cpu = 0.0002 * records + 4.8 + rng.normal(0.0, noise);
             let unrelated = rng.uniform(0.0, 100.0);
-            store.put(MetricId::new("ns", "records", "res"), t, records);
-            store.put(MetricId::new("ns", "cpu", "res"), t, cpu);
-            store.put(MetricId::new("ns", "unrelated", "res"), t, unrelated);
+            store.push(records_series, t, records);
+            store.push(cpu_series, t, cpu);
+            store.push(unrelated_series, t, unrelated);
         }
         store
     }

@@ -42,7 +42,7 @@
 use std::collections::BTreeMap;
 
 use flower_cloud::alarms::AlarmState;
-use flower_cloud::{CloudEngine, ReadWorkloadConfig, SensorProbe};
+use flower_cloud::{CloudEngine, LayerService, ReadWorkloadConfig, SensorProbe};
 use flower_control::ResponseMetrics;
 use flower_obs::{kind, FieldValue, Recorder, SpanId};
 use flower_sim::{EventHandle, Scheduler, SimDuration, SimRng, SimTime};
@@ -746,50 +746,39 @@ fn engine_event(s: &mut Scheduler<World>, w: &mut World) {
     w.report.dropped_tuples += tick.process.dropped;
     w.report.total_cost_dollars += tick.cost;
 
-    for (i, service) in w.engine.services().into_iter().enumerate() {
-        let Some(v) = service.measurement(&tick) else {
-            continue;
-        };
-        if let Some(trace) = w.report.measurement_traces.get_mut(i) {
-            trace.push((t, v));
-        }
-    }
     w.report.throttled_reads += tick.read.throttled;
     w.report
         .read_utilization_trace
         .push((t, tick.read.utilization * 100.0));
     let rcu = w.engine.dynamo().provisioned_rcu();
     w.report.rcu_trace.push((t, rcu));
+    // The episode is open: the event returned above otherwise.
     if let Some(episode) = w.episode.as_mut() {
         if (rcu - episode.prev_rcu).abs() > 1e-9 {
             w.report.rcu_actions += 1;
         }
         episode.prev_rcu = rcu;
-    }
 
-    let actuators: Vec<f64> = w
-        .engine
-        .services()
-        .iter()
-        .map(|svc| svc.actuator_units())
-        .collect();
-    for (i, &a) in actuators.iter().enumerate() {
-        if let Some(trace) = w.report.actuator_traces.get_mut(i) {
-            trace.push((t, a));
-        }
-        let changed = w
-            .episode
-            .as_ref()
-            .and_then(|e| e.prev_actuators.get(i))
-            .is_some_and(|p| (a - p).abs() > 1e-9);
-        if changed {
-            if let Some(slot) = w.report.scaling_actions.get_mut(i) {
-                *slot += 1;
+        // Per layer, in registry order: the tick's measurement, the
+        // deployed units, and whether they moved since the last tick.
+        let prev_actuators = episode.prev_actuators.iter_mut();
+        for (i, (service, prev)) in w.engine.services().zip(prev_actuators).enumerate() {
+            if let Some(v) = service.measurement(&tick) {
+                if let Some(trace) = w.report.measurement_traces.get_mut(i) {
+                    trace.push((t, v));
+                }
             }
+            let units = service.actuator_units();
+            if let Some(trace) = w.report.actuator_traces.get_mut(i) {
+                trace.push((t, units));
+            }
+            if (units - *prev).abs() > 1e-9 {
+                if let Some(slot) = w.report.scaling_actions.get_mut(i) {
+                    *slot += 1;
+                }
+            }
+            *prev = units;
         }
-    }
-    if let Some(episode) = w.episode.as_mut() {
-        episode.prev_actuators = actuators;
     }
     s.schedule_at_class(until, CLASS_ENGINE, engine_event);
 }
@@ -980,8 +969,7 @@ impl ElasticityManager {
             .world
             .engine
             .services()
-            .iter()
-            .map(|s| s.actuator_units())
+            .map(LayerService::actuator_units)
             .collect();
         self.world.episode = Some(EpisodeState {
             end,

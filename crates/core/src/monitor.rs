@@ -334,7 +334,8 @@ mod tests {
         assert!(!m.register(Layer::STORAGE, id.clone()));
         assert_eq!(m.len(), 1, "still one registration");
         let mut store = MetricsStore::new();
-        store.put(id, SimTime::from_secs(1), 42.0);
+        let series = store.register(id);
+        store.push(series, SimTime::from_secs(1), 42.0);
         let snap = m.snapshot(&store, SimTime::from_secs(2), SimDuration::from_secs(10));
         assert!(snap.layer_rows(Layer::INGESTION).is_empty());
         assert_eq!(snap.layer_rows(Layer::STORAGE).len(), 1);

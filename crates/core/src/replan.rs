@@ -345,7 +345,7 @@ impl Replanner {
                 Ok(outcome) => {
                     // One field per planned layer, keyed by the layer's
                     // resource name ("shards", "vms", "wcu", …); the
-                    // event's BTreeMap orders the final payload.
+                    // event's key-sorted fields order the final payload.
                     let mut fields: Vec<(&'static str, flower_obs::FieldValue)> = vec![
                         ("dependencies", outcome.dependencies.into()),
                         ("front_size", outcome.front_size.into()),
@@ -613,15 +613,7 @@ mod tests {
             let records = generator.tick(&mut process, now, 1.0);
             engine.tick(&records, now, SimDuration::from_secs(1));
         }
-        // Move the store out by rebuilding a snapshot: we only need the
-        // metrics, so clone via raw access.
-        let mut out = MetricsStore::new();
-        for id in engine.metrics().list() {
-            for (t, v) in engine.metrics().raw(id, SimTime::ZERO, SimTime::MAX) {
-                out.put(id.clone(), t, v);
-            }
-        }
-        out
+        engine.metrics().clone()
     }
 
     fn analyzer() -> DependencyAnalyzer {

@@ -4,10 +4,9 @@
 //! and a small bag of typed payload fields. Field keys are `&'static
 //! str` so that building an event payload on a hot path never allocates
 //! for the keys; values allocate only for the [`FieldValue::Str`]
-//! variant. Fields live in a [`BTreeMap`] so iteration (and therefore
-//! the JSONL export) is deterministically key-ordered.
+//! variant. Fields live in one key-sorted list ([`Fields`]) so iteration
+//! (and therefore the JSONL export) is deterministically key-ordered.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use flower_sim::SimTime;
@@ -99,6 +98,57 @@ impl FieldValue {
     }
 }
 
+/// The payload fields of an [`Event`]: one entry per key, sorted by key
+/// in byte order, held in one list.
+///
+/// It is built from an emitter's slice with the semantics of collecting
+/// the slice into a `BTreeMap`: the emitter may list keys in any order,
+/// and the last of repeated keys wins.
+///
+/// ```
+/// use flower_obs::event::{FieldValue, Fields};
+///
+/// let fields = Fields::from_slice(&[
+///     ("to", 4u64.into()),
+///     ("from", 2u64.into()),
+///     ("to", 5u64.into()),
+/// ]);
+/// let keys: Vec<&str> = fields.iter().map(|(key, _)| key).collect();
+/// assert_eq!(keys, ["from", "to"]);
+/// assert_eq!(fields.get("to"), Some(&FieldValue::U64(5)));
+/// ```
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Fields(Vec<(&'static str, FieldValue)>);
+
+impl Fields {
+    /// Sort `fields` by key, keeping the last value of a repeated key.
+    pub fn from_slice(fields: &[(&'static str, FieldValue)]) -> Fields {
+        let mut sorted: Vec<(&'static str, FieldValue)> = Vec::with_capacity(fields.len());
+        for (key, value) in fields {
+            match sorted.binary_search_by(|(k, _)| k.cmp(key)) {
+                Ok(at) => {
+                    if let Some(slot) = sorted.get_mut(at) {
+                        slot.1 = value.clone();
+                    }
+                }
+                Err(at) => sorted.insert(at, (key, value.clone())),
+            }
+        }
+        Fields(sorted)
+    }
+
+    /// The value of `key`, when present.
+    pub fn get(&self, key: &str) -> Option<&FieldValue> {
+        let at = self.0.binary_search_by(|(k, _)| (*k).cmp(key)).ok()?;
+        self.0.get(at).map(|(_, value)| value)
+    }
+
+    /// The fields in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &FieldValue)> {
+        self.0.iter().map(|(key, value)| (*key, value))
+    }
+}
+
 /// One structured trace event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
@@ -112,7 +162,7 @@ pub struct Event {
     /// Dot-namespaced kind, e.g. `control.decision` (see [`crate::kind`]).
     pub kind: &'static str,
     /// Payload fields, ordered by key.
-    pub fields: BTreeMap<&'static str, FieldValue>,
+    pub fields: Fields,
 }
 
 impl Event {
@@ -202,9 +252,10 @@ mod tests {
 
     #[test]
     fn event_field_accessors() {
-        let mut fields = BTreeMap::new();
-        fields.insert("gain", FieldValue::F64(0.25));
-        fields.insert("layer", FieldValue::from("ingestion"));
+        let fields = Fields::from_slice(&[
+            ("layer", FieldValue::from("ingestion")),
+            ("gain", FieldValue::F64(0.25)),
+        ]);
         let e = Event {
             seq: 0,
             at: SimTime::from_secs(30),
@@ -223,5 +274,27 @@ mod tests {
         assert_eq!(FieldValue::from("storage").to_string(), "storage");
         assert_eq!(FieldValue::from(false).to_string(), "false");
         assert_eq!(FieldValue::from(-1i64).to_string(), "-1");
+    }
+
+    /// `Fields::from_slice` holds what collecting the slice into a
+    /// `BTreeMap` held, in the same order: random slices over a small
+    /// key alphabet, so most repeat a key.
+    #[test]
+    fn fields_match_a_collected_btree_map() {
+        use std::collections::BTreeMap;
+        const KEYS: [&str; 7] = ["to", "from", "error", "a", "", "flow", "fl"];
+        flower_sim::testkit::forall(300, |rng| {
+            let slice: Vec<(&'static str, FieldValue)> = (0..rng.below(12))
+                .map(|i| (*rng.pick(&KEYS), FieldValue::U64(i)))
+                .collect();
+            let fields = Fields::from_slice(&slice);
+            let map: BTreeMap<&'static str, FieldValue> = slice.iter().cloned().collect();
+            let listed: Vec<(&str, &FieldValue)> = fields.iter().collect();
+            let expected: Vec<(&str, &FieldValue)> = map.iter().map(|(k, v)| (*k, v)).collect();
+            assert_eq!(listed, expected);
+            for key in KEYS {
+                assert_eq!(fields.get(key), map.get(key), "key {key:?}");
+            }
+        });
     }
 }

@@ -10,11 +10,12 @@
 //! 3. **Summary** — a final `{"summary":{…}}` line folding in the
 //!    counters, gauges, histograms, and closed-span aggregates.
 //!
-//! Determinism: all maps are `BTreeMap`s, floats are rendered with
-//! Rust's shortest-round-trip `Display` (bit-identical for bit-identical
-//! inputs), and non-finite floats become `null` — so the same recorder
-//! state always serializes to the same bytes. [`crate::reader`] reads
-//! and validates these documents (`flower trace --in`).
+//! Determinism: event fields and all summary maps are key-ordered,
+//! floats are rendered with Rust's shortest-round-trip `Display`
+//! (bit-identical for bit-identical inputs), and non-finite floats
+//! become `null` — so the same recorder state always serializes to the
+//! same bytes. [`crate::reader`] reads and validates these documents
+//! (`flower trace --in`).
 
 use std::fmt::Write as _;
 
@@ -147,7 +148,7 @@ pub(crate) fn write_event_body(out: &mut String, event: &Event, t_ms: u64, flow:
     out.push_str(",\"fields\":{");
     let mut written = 0;
     let mut stamp = flow;
-    for (&key, value) in &event.fields {
+    for (key, value) in event.fields.iter() {
         if let Some(flow) = stamp.filter(|_| key >= FLOW_FIELD) {
             push_key(out, written, FLOW_FIELD);
             push_json_str(out, flow);
@@ -317,7 +318,7 @@ mod tests {
         let doc = rec.to_jsonl();
         let lines: Vec<&str> = doc.lines().collect();
         assert_eq!(lines.len(), 3);
-        // BTreeMap field order: accepted, applied, layer, measurement.
+        // Key order: accepted, applied, layer, measurement.
         assert_eq!(
             lines[1],
             "{\"seq\":0,\"t_ms\":30000,\"kind\":\"control.decision\",\"fields\":\

@@ -18,7 +18,7 @@
 //!
 //! * **Determinism.** Timestamps come from [`flower_sim::SimTime`] only
 //!   (wall clocks are banned by the `nondet-time` lint), collections
-//!   are `BTreeMap`-ordered, and sequence numbers are assigned at emit
+//!   are key-ordered, and sequence numbers are assigned at emit
 //!   time on the single control thread — so the same seed produces a
 //!   **byte-identical** JSONL trace at any `FLOWER_THREADS` worker
 //!   count.
@@ -44,7 +44,7 @@ pub mod merge;
 pub mod reader;
 pub mod recorder;
 
-pub use event::{kind, Event, FieldValue};
+pub use event::{kind, Event, FieldValue, Fields};
 pub use jsonl::{event_line, json_f64, json_str};
 pub use merge::{
     merge_rendered, merge_streams, FlightSnapshot, RenderedStream, TraceStream, FLOW_FIELD,

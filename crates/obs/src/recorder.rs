@@ -23,7 +23,7 @@ use std::rc::Rc;
 
 use flower_sim::{SimDuration, SimTime};
 
-use crate::event::{kind, Event, FieldValue};
+use crate::event::{kind, Event, FieldValue, Fields};
 use crate::merge::{FlightSnapshot, RenderedStream};
 
 /// Histogram decade-bucket upper edges (the last bucket is overflow).
@@ -203,7 +203,7 @@ impl Flight {
             seq: self.next_seq,
             at: self.now,
             kind,
-            fields: fields.iter().cloned().collect(),
+            fields: Fields::from_slice(fields),
         };
         self.next_seq += 1;
         if let Some(sink) = self.sink.as_mut() {
@@ -718,5 +718,57 @@ mod tests {
         // Double-exit is ignored.
         rec.span_exit(b);
         assert_eq!(rec.events().len(), 4);
+    }
+
+    /// Emitters may list fields in any order and repeat a key: every
+    /// writer renders the event as collecting its fields into a
+    /// `BTreeMap` did, key-sorted with the last of a repeated key
+    /// winning.
+    #[test]
+    fn unsorted_and_repeated_fields_render_key_sorted_last_wins() {
+        let rec = Recorder::with_capacity(8);
+        rec.set_now(SimTime::from_secs(2));
+        // A rejected resize, built as `CloudEngine::trace_resize` builds
+        // it: `error` is pushed after `to` but sorts before `from`.
+        rec.emit(
+            kind::CLOUD_RESIZE,
+            &[
+                ("accepted", false.into()),
+                ("from", 2.0.into()),
+                ("resource", "shards".into()),
+                ("to", 0.0.into()),
+                ("error", "kinesis: invalid shard count 0".into()),
+            ],
+        );
+        rec.emit(
+            "test.unsorted",
+            &[
+                ("zeta", 1u64.into()),
+                ("alpha", "first".into()),
+                ("mid", (-0.5).into()),
+                ("flow", "own".into()),
+                ("alpha", "last".into()),
+            ],
+        );
+        let lines = [
+            r#"{"seq":0,"t_ms":2000,"kind":"cloud.resize","fields":{"accepted":false,"error":"kinesis: invalid shard count 0","from":2,"resource":"shards","to":0}}"#,
+            r#"{"seq":1,"t_ms":2000,"kind":"test.unsorted","fields":{"alpha":"last","flow":"own","mid":-0.5,"zeta":1}}"#,
+        ];
+        let events = rec.events();
+        let rendered: Vec<String> = events.iter().map(crate::jsonl::event_line).collect();
+        assert_eq!(rendered, lines);
+        let doc = rec.to_jsonl();
+        assert_eq!(doc.lines().skip(1).take(2).collect::<Vec<_>>(), lines);
+        // The fleet writer stamps the stream's flow, which replaces the
+        // event's own `flow` field.
+        let stream = rec.render_stream(Some("t-1"), SimDuration::from_secs(60));
+        let merged = crate::merge::merge_rendered(&[stream]);
+        assert_eq!(
+            merged.lines().skip(1).take(2).collect::<Vec<_>>(),
+            [
+                r#"{"seq":0,"t_ms":62000,"kind":"cloud.resize","fields":{"accepted":false,"error":"kinesis: invalid shard count 0","flow":"t-1","from":2,"resource":"shards","to":0}}"#,
+                r#"{"seq":1,"t_ms":62000,"kind":"test.unsorted","fields":{"alpha":"last","flow":"t-1","mid":-0.5,"zeta":1}}"#,
+            ]
+        );
     }
 }

@@ -54,6 +54,6 @@ pub mod scheduler;
 pub mod testkit;
 pub mod time;
 
-pub use rng::{SimRng, WeightTable};
+pub use rng::SimRng;
 pub use scheduler::{EventHandle, Scheduler};
 pub use time::{SimDuration, SimTime};

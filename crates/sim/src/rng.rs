@@ -5,8 +5,8 @@
 //! stability-guaranteed) we ship our own xoshiro256++ implementation seeded
 //! through SplitMix64, exactly as recommended by the xoshiro authors.
 //! [`SimRng`] carries its own distribution toolkit (uniform, normal,
-//! Poisson, geometric, weighted choice, shuffling) so no external RNG
-//! crate is needed anywhere in the workspace.
+//! Poisson, geometric, shuffling) so no external RNG crate is needed
+//! anywhere in the workspace.
 
 /// SplitMix64 step — used to expand a 64-bit seed into xoshiro state.
 #[inline]
@@ -206,123 +206,6 @@ impl SimRng {
         assert!(!xs.is_empty(), "pick from empty slice");
         &xs[self.below(xs.len() as u64) as usize]
     }
-
-    /// Weighted index draw: index `k` with probability proportional to
-    /// the table's `k`-th weight.
-    pub fn weighted_index(&mut self, table: &WeightTable) -> usize {
-        table.index_of(self.next_f64() * table.total)
-    }
-}
-
-/// A validated table of non-negative weights for
-/// [`SimRng::weighted_index`].
-///
-/// Construction panics unless every weight is finite and `>= 0` and the
-/// total is finite and `> 0`, so a bad table fails where it is built, not
-/// at its first draw. The table keeps the running sums `R_k = w_0 + … +
-/// w_k`, added left to right, so `R_{n-1}` is bit-identical to
-/// `weights.iter().sum()`.
-///
-/// # Exactness
-///
-/// A draw of target `x = next_f64() * total` is defined by the subtractive
-/// scan (`WeightTable::scan`): walk the weights, return the first `j`
-/// with `t_j < w_j`, else `t_{j+1} = t_j − w_j`, starting from `t_0 = x`.
-/// `WeightTable::search` answers the same question by bisection over the
-/// running sums, and is trusted only where it provably agrees; everywhere
-/// else the scan runs.
-///
-/// Let `u = 2⁻⁵³` (unit roundoff), `T` the total, `n` the table length and
-/// `S_j = w_0 + … + w_{j−1}` the exact prefix sums.
-///
-/// * While the scan continues, `0 ≤ t_j − w_j ≤ t_j ≤ x ≤ T`, so each
-///   subtraction errs by at most `u·T` (a subnormal difference is exact)
-///   and `|t_j − (x − S_j)| ≤ j·u·T`.
-/// * Each running sum lies in `[0, T]`, so likewise
-///   `|R_{j−1} − S_j| ≤ j·u·T`.
-/// * The search finds the first `k` with `x < R_k` and returns it only if
-///   `fl(x − R_{k−1}) ≥ M` and `fl(R_k − x) ≥ M` (`R_{−1} = 0`). Each of
-///   these checks errs by at most `u·T`. For every `j < k`,
-///   `t_j − w_j ≥ x − S_k − j·u·T ≥ M − (1 + k + j)·u·T > 0`, so the scan
-///   passes `j`; at `k`, `t_k − w_k ≤ x − S_{k+1} + k·u·T ≤
-///   −M + (2 + 2k)·u·T < 0`, so the scan stops at `k`. Both hold once
-///   `M > 2n·u·T`.
-/// * `M = 4·n·ε·T` (`ε = 2u`) gives four times that. When the product
-///   underflows, `8n·u·T` is below `f64::MIN_POSITIVE`, which is used
-///   instead.
-/// * A zero weight leaves `R_k = R_{k−1}`, an empty interval the search
-///   never lands in, and the scan passes it since `t_j ≥ 0`; neither path
-///   returns it.
-///
-/// For a 200-entry table the margin is `1.8·10⁻¹³` of the total, so the
-/// scan runs only for targets within rounding distance of a boundary.
-#[derive(Debug)]
-pub struct WeightTable {
-    weights: Vec<f64>,
-    running: Vec<f64>,
-    total: f64,
-    margin: f64,
-    /// Where the scan lands when rounding carries the target past every
-    /// weight: the last positive weight.
-    last_positive: usize,
-}
-
-impl WeightTable {
-    /// Validate `weights` and precompute their running sums. Panics on a
-    /// negative or non-finite weight, and on a total that is zero or
-    /// overflows.
-    pub fn new(weights: &[f64]) -> Self {
-        let mut running = Vec::with_capacity(weights.len());
-        let mut total = 0.0;
-        let mut last_positive = None;
-        for (i, &w) in weights.iter().enumerate() {
-            assert!(w >= 0.0 && w.is_finite(), "invalid weight {w}");
-            total += w;
-            running.push(total);
-            if w > 0.0 {
-                last_positive = Some(i);
-            }
-        }
-        assert!(
-            total > 0.0 && total.is_finite(),
-            "a weight table needs a positive, finite total, not {total}"
-        );
-        let margin = (4.0 * weights.len() as f64 * f64::EPSILON * total).max(f64::MIN_POSITIVE);
-        WeightTable {
-            weights: weights.to_vec(),
-            running,
-            total,
-            margin,
-            last_positive: last_positive.unwrap_or_default(),
-        }
-    }
-
-    /// The index drawn for `target`: the search where it is proven, the
-    /// scan otherwise.
-    fn index_of(&self, target: f64) -> usize {
-        self.search(target).unwrap_or_else(|| self.scan(target))
-    }
-
-    /// Bisection over the running sums; `None` when `target` lies within
-    /// the margin of either end of its interval.
-    fn search(&self, target: f64) -> Option<usize> {
-        let k = self.running.partition_point(|&r| r <= target);
-        let lo = if k == 0 { 0.0 } else { self.running[k - 1] };
-        let hi = *self.running.get(k)?;
-        (target - lo >= self.margin && hi - target >= self.margin).then_some(k)
-    }
-
-    /// The subtractive scan that defines a draw.
-    fn scan(&self, mut target: f64) -> usize {
-        for (i, &w) in self.weights.iter().enumerate() {
-            if target < w {
-                return i;
-            }
-            target -= w;
-        }
-        // Rounding can carry the target past every weight.
-        self.last_positive
-    }
 }
 
 impl SimRng {
@@ -445,115 +328,6 @@ mod tests {
         let mean = (0..n).map(|_| rng.geometric(0.25) as f64).sum::<f64>() / n as f64;
         assert!((mean - 4.0).abs() < 0.1, "mean={mean}");
         assert_eq!(rng.geometric(1.0), 1);
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = SimRng::seed(23);
-        let table = WeightTable::new(&[1.0, 0.0, 3.0]);
-        let mut counts = [0u32; 3];
-        for _ in 0..40_000 {
-            counts[rng.weighted_index(&table)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.25, "ratio={ratio}");
-    }
-
-    /// Weights for a random table of 1–300 entries, drawn from one of
-    /// several shapes: Zipf, uniform with zeros, 1e-300 entries among
-    /// ordinary ones, log-uniform over 1e-12..1e12, only 1e-300 entries
-    /// (whose margin underflows) and all equal.
-    fn random_weights(rng: &mut SimRng) -> Vec<f64> {
-        let n = rng.int_range(1, 300) as usize;
-        let shape = rng.below(6);
-        let mut weights: Vec<f64> = (0..n)
-            .map(|r| match shape {
-                0 => 1.0 / ((r + 1) as f64).powf(rng.uniform(0.0, 2.0)),
-                1 if rng.chance(0.3) => 0.0,
-                1 => rng.next_f64(),
-                2 if rng.chance(0.5) => 1e-300,
-                2 if rng.chance(0.2) => 0.0,
-                2 => rng.uniform(0.0, 10.0),
-                3 if rng.chance(0.1) => 0.0,
-                3 => 10f64.powf(rng.uniform(-12.0, 12.0)),
-                4 if rng.chance(0.2) => 0.0,
-                4 => 1e-300,
-                _ => 0.25,
-            })
-            .collect();
-        if weights.iter().all(|&w| w <= 0.0) {
-            weights[n - 1] = 1.0;
-        }
-        weights
-    }
-
-    /// The total is the left-to-right sum, and the search agrees with
-    /// the scan on every target it answers: targets on, and one and two
-    /// ulps either side of, every running sum, plus 0, the largest target
-    /// below the total and uniform draws.
-    #[test]
-    fn search_agrees_with_scan_at_every_boundary() {
-        crate::testkit::forall(600, |rng| {
-            let table = WeightTable::new(&random_weights(rng));
-            let sum: f64 = table.weights.iter().sum();
-            assert_eq!(table.total.to_bits(), sum.to_bits());
-            let mut targets = vec![0.0, table.total.next_down()];
-            for &r in &table.running {
-                let (down, up) = (r.next_down(), r.next_up());
-                targets.extend([down.next_down(), down, r, up, up.next_up()]);
-            }
-            targets.extend((0..64).map(|_| rng.next_f64() * table.total));
-            for target in targets.into_iter().filter(|&x| x >= 0.0) {
-                let scan = table.scan(target);
-                if let Some(k) = table.search(target) {
-                    assert_eq!(k, scan, "target {target:e} in {:?}", table.weights);
-                }
-                assert_eq!(table.index_of(target), scan);
-                assert!(table.weights[scan] > 0.0, "drew a zero weight");
-            }
-        });
-    }
-
-    /// The fast path carries the draws, so the agreement above is not
-    /// the fallback agreeing with itself.
-    #[test]
-    fn search_answers_almost_every_draw() {
-        let weights: Vec<f64> = (1..=200).map(|r| 1.0 / (r as f64).powf(1.0)).collect();
-        let table = WeightTable::new(&weights);
-        let mut rng = SimRng::seed(47);
-        let draws = 100_000;
-        let answered = (0..draws)
-            .filter(|_| table.search(rng.next_f64() * table.total).is_some())
-            .count();
-        assert!(
-            answered * 100 >= draws * 99,
-            "search answered {answered} of {draws}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid weight NaN")]
-    fn table_rejects_nan_weight() {
-        WeightTable::new(&[1.0, f64::NAN]);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid weight -0.5")]
-    fn table_rejects_negative_weight() {
-        WeightTable::new(&[1.0, -0.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive, finite total")]
-    fn table_rejects_all_zero_weights() {
-        WeightTable::new(&[0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive, finite total")]
-    fn table_rejects_overflowing_total() {
-        WeightTable::new(&[f64::MAX, f64::MAX]);
     }
 
     #[test]

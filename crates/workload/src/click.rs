@@ -2,53 +2,25 @@
 //!
 //! Turns a [`crate::arrival::ArrivalProcess`] intensity
 //! into concrete click records: each simulated user browses a site in
-//! sessions (page-view counts geometrically distributed), page popularity
-//! follows a Zipf-like law, and each record carries the user id as its
-//! partition key — which is what spreads (or skews) load across Kinesis
-//! shards downstream.
+//! sessions (page-view counts geometrically distributed), and each record
+//! carries the user id as its partition key — which is what spreads (or
+//! skews) load across Kinesis shards downstream.
+//!
+//! A record holds only what ingestion reads: the partition key and the
+//! payload size. The page a view lands on, the event kind and the session
+//! id reached no reader, so they are not materialized; their draws still
+//! advance the RNG, so every record stream is the one the full record
+//! model gave.
 
-use flower_sim::{SimRng, SimTime, WeightTable};
+use flower_sim::{SimRng, SimTime};
 
 use crate::arrival::ArrivalProcess;
 
-/// What the user did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventKind {
-    /// A page was rendered.
-    PageView,
-    /// An on-page element was clicked.
-    Click,
-    /// An item was added to the cart.
-    AddToCart,
-    /// A purchase was completed.
-    Purchase,
-}
-
-impl EventKind {
-    const ALL: [EventKind; 4] = [
-        EventKind::PageView,
-        EventKind::Click,
-        EventKind::AddToCart,
-        EventKind::Purchase,
-    ];
-    /// Default relative frequencies of the event kinds (page views
-    /// dominate, purchases are rare).
-    const WEIGHTS: [f64; 4] = [0.62, 0.30, 0.06, 0.02];
-}
-
 /// One click-stream record — the unit the ingestion layer receives.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClickRecord {
-    /// Virtual time the event occurred.
-    pub at: SimTime,
     /// The user who generated it; doubles as the partition key.
     pub user_id: u64,
-    /// The user's current session number.
-    pub session_id: u64,
-    /// Page index in the site's page catalogue.
-    pub page: u32,
-    /// Event kind.
-    pub kind: EventKind,
     /// Serialized payload size in bytes.
     pub payload_bytes: u32,
 }
@@ -65,10 +37,6 @@ impl ClickRecord {
 pub struct ClickStreamConfig {
     /// Size of the simulated user population.
     pub n_users: u64,
-    /// Number of distinct pages on the site.
-    pub n_pages: u32,
-    /// Zipf exponent for page popularity (0 = uniform; ~0.8–1.2 typical).
-    pub zipf_exponent: f64,
     /// Mean page-views per session (geometric distribution parameter is
     /// derived as `1 / mean`).
     pub mean_session_length: f64,
@@ -89,8 +57,6 @@ impl Default for ClickStreamConfig {
     fn default() -> Self {
         ClickStreamConfig {
             n_users: 50_000,
-            n_pages: 200,
-            zipf_exponent: 1.0,
             mean_session_length: 8.0,
             mean_payload_bytes: 600.0,
             payload_bytes_std: 150.0,
@@ -108,10 +74,6 @@ impl Default for ClickStreamConfig {
 pub struct ClickStreamGenerator {
     config: ClickStreamConfig,
     rng: SimRng,
-    /// Zipf popularity weights over pages.
-    pages: WeightTable,
-    /// Relative frequencies of [`EventKind::ALL`].
-    kinds: WeightTable,
     /// The sessions currently emitting records, in the order they
     /// started. The spawn rule caps it at 256; a session leaves the
     /// moment its last view is drawn, so none is ever exhausted here.
@@ -122,7 +84,6 @@ pub struct ClickStreamGenerator {
 #[derive(Debug)]
 struct UserSession {
     user_id: u64,
-    session_id: u64,
     remaining: u64,
 }
 
@@ -130,19 +91,13 @@ impl ClickStreamGenerator {
     /// Build a generator with the given config and RNG.
     pub fn new(config: ClickStreamConfig, rng: SimRng) -> Self {
         assert!(config.n_users > 0, "need at least one user");
-        assert!(config.n_pages > 0, "need at least one page");
         assert!(
             config.mean_session_length >= 1.0,
             "sessions must average >= 1 view"
         );
-        let page_weights: Vec<f64> = (1..=config.n_pages)
-            .map(|r| 1.0 / (r as f64).powf(config.zipf_exponent))
-            .collect();
         ClickStreamGenerator {
             config,
             rng,
-            pages: WeightTable::new(&page_weights),
-            kinds: WeightTable::new(&EventKind::WEIGHTS),
             active: Vec::new(),
             total_generated: 0,
         }
@@ -167,21 +122,26 @@ impl ClickStreamGenerator {
 
     /// Like [`ClickStreamGenerator::tick`] but with the intensity already
     /// sampled by the caller — avoids double-querying stateful or noisy
-    /// arrival processes when the caller also records the rate.
-    pub fn tick_at_rate(&mut self, intensity: f64, t: SimTime, dt_secs: f64) -> Vec<ClickRecord> {
+    /// arrival processes when the caller also records the rate. Records
+    /// carry no timestamp, so the step's start `_t` only keeps the
+    /// argument list of [`ClickStreamGenerator::tick`].
+    pub fn tick_at_rate(&mut self, intensity: f64, _t: SimTime, dt_secs: f64) -> Vec<ClickRecord> {
         assert!(dt_secs > 0.0, "step length must be positive");
         debug_assert!(intensity >= 0.0 && intensity.is_finite());
         let count = self.rng.poisson(intensity * dt_secs);
-        self.generate(t, count)
+        self.generate(count)
     }
 
-    /// Generate exactly `count` records stamped at `t`.
-    pub fn generate(&mut self, t: SimTime, count: u64) -> Vec<ClickRecord> {
+    /// Generate exactly `count` records.
+    pub fn generate(&mut self, count: u64) -> Vec<ClickRecord> {
         let mut out = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            let (user_id, session_id) = self.next_session_slot();
-            let page = self.rng.weighted_index(&self.pages) as u32;
-            let kind = EventKind::ALL[self.rng.weighted_index(&self.kinds)];
+            let user_id = self.next_session_user();
+            // A page and an event kind, one `next_u64` each in the full
+            // record model: no field keeps them, but both still advance
+            // the stream so every later draw keeps its value.
+            self.rng.next_u64();
+            self.rng.next_u64();
             let payload_bytes = self
                 .rng
                 .normal(
@@ -190,11 +150,7 @@ impl ClickStreamGenerator {
                 )
                 .max(32.0) as u32;
             out.push(ClickRecord {
-                at: t,
                 user_id,
-                session_id,
-                page,
-                kind,
                 payload_bytes,
             });
         }
@@ -203,8 +159,8 @@ impl ClickStreamGenerator {
     }
 
     /// Pick (or create) the session that emits the next record, spend
-    /// one of its views, and return its `(user, session)` ids.
-    fn next_session_slot(&mut self) -> (u64, u64) {
+    /// one of its views, and return its user.
+    fn next_session_user(&mut self) -> u64 {
         // Keep a modest pool of concurrently active sessions; new ones
         // join when the pool is small or by chance, modelling user churn.
         let spawn = self.active.is_empty() || (self.active.len() < 256 && self.rng.chance(0.15));
@@ -216,26 +172,23 @@ impl ClickStreamGenerator {
             } else {
                 self.rng.below(self.config.n_users)
             };
-            let session_id = self.rng.next_u64() >> 16;
+            // The session id's draw, kept for the same reason.
+            self.rng.next_u64();
             let p = 1.0 / self.config.mean_session_length;
             let remaining = self.rng.geometric(p);
-            self.active.push(UserSession {
-                user_id,
-                session_id,
-                remaining,
-            });
+            self.active.push(UserSession { user_id, remaining });
         }
         let idx = self.rng.below(self.active.len() as u64) as usize;
         let session = &mut self.active[idx];
         session.remaining -= 1;
-        let ids = (session.user_id, session.session_id);
+        let user_id = session.user_id;
         // Only the picked session is ever spent and none joins empty
         // (`geometric` is at least 1), so this is the one session that can
         // be exhausted; removing it in place keeps the pool's order.
         if session.remaining == 0 {
             self.active.remove(idx);
         }
-        ids
+        user_id
     }
 }
 
@@ -274,69 +227,26 @@ mod tests {
     #[test]
     fn records_are_well_formed() {
         let mut generator = generator(3);
-        let records = generator.generate(SimTime::from_secs(42), 5_000);
+        let records = generator.generate(5_000);
         assert_eq!(records.len(), 5_000);
         for r in &records {
-            assert_eq!(r.at, SimTime::from_secs(42));
             assert!(r.user_id < ClickStreamConfig::default().n_users);
-            assert!(r.page < ClickStreamConfig::default().n_pages);
             assert!(r.payload_bytes >= 32);
             assert_eq!(r.partition_key(), r.user_id);
         }
     }
 
     #[test]
-    fn page_popularity_is_skewed() {
-        let mut generator = generator(4);
-        let records = generator.generate(SimTime::ZERO, 50_000);
-        let mut counts = vec![0u32; ClickStreamConfig::default().n_pages as usize];
-        for r in &records {
-            counts[r.page as usize] += 1;
-        }
-        // Zipf(1.0): page 0 should be visited far more than page 100.
-        assert!(
-            counts[0] > counts[100] * 5,
-            "p0={} p100={}",
-            counts[0],
-            counts[100]
-        );
-    }
-
-    #[test]
-    fn event_mix_matches_weights() {
-        let mut generator = generator(5);
-        let records = generator.generate(SimTime::ZERO, 50_000);
-        let views = records
-            .iter()
-            .filter(|r| r.kind == EventKind::PageView)
-            .count();
-        let purchases = records
-            .iter()
-            .filter(|r| r.kind == EventKind::Purchase)
-            .count();
-        let view_share = views as f64 / records.len() as f64;
-        let purchase_share = purchases as f64 / records.len() as f64;
-        assert!((view_share - 0.62).abs() < 0.02, "views={view_share}");
-        assert!(
-            (purchase_share - 0.02).abs() < 0.01,
-            "purchases={purchase_share}"
-        );
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let mut g1 = generator(9);
         let mut g2 = generator(9);
-        assert_eq!(
-            g1.generate(SimTime::ZERO, 100),
-            g2.generate(SimTime::ZERO, 100)
-        );
+        assert_eq!(g1.generate(100), g2.generate(100));
     }
 
     #[test]
     fn sessions_produce_repeat_users() {
         let mut generator = generator(10);
-        let records = generator.generate(SimTime::ZERO, 2_000);
+        let records = generator.generate(2_000);
         let mut user_counts = std::collections::BTreeMap::new();
         for r in &records {
             *user_counts.entry(r.user_id).or_insert(0u32) += 1;
@@ -348,7 +258,7 @@ mod tests {
     #[test]
     fn payload_sizes_cluster_around_mean() {
         let mut generator = generator(11);
-        let records = generator.generate(SimTime::ZERO, 20_000);
+        let records = generator.generate(20_000);
         let mean: f64 =
             records.iter().map(|r| r.payload_bytes as f64).sum::<f64>() / records.len() as f64;
         assert!((mean - 600.0).abs() < 15.0, "mean payload {mean}");
@@ -364,13 +274,13 @@ mod tests {
             },
             SimRng::seed(21),
         );
-        let records = skewed.generate(SimTime::ZERO, 20_000);
+        let records = skewed.generate(20_000);
         let hot = records.iter().filter(|r| r.user_id < 4).count();
         let share = hot as f64 / records.len() as f64;
         assert!(share > 0.6, "hot-user share {share}");
         // The uniform default keeps the same keys rare.
         let mut uniform = ClickStreamGenerator::new(ClickStreamConfig::default(), SimRng::seed(21));
-        let records = uniform.generate(SimTime::ZERO, 20_000);
+        let records = uniform.generate(20_000);
         let hot = records.iter().filter(|r| r.user_id < 4).count();
         assert!((hot as f64 / records.len() as f64) < 0.01);
     }

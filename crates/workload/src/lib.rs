@@ -19,8 +19,9 @@
 //!   multiplicative-noise wrappers. Rates are *intensities* (records per
 //!   second); actual counts are Poisson-sampled around them.
 //! * [`click`] — a click-stream generator that turns an arrival process
-//!   into concrete [`click::ClickRecord`]s with users, sessions, pages,
-//!   and payload sizes — the records the simulated Kinesis ingests.
+//!   into concrete [`click::ClickRecord`]s: users browsing in sessions,
+//!   each record reduced to its partition key and payload size — the
+//!   two fields the simulated Kinesis reads.
 //! * [`scenarios`] — a catalogue of named workload scenarios (diurnal,
 //!   flash crowds, periodic/random bursts, growth) composed from the
 //!   arrival primitives, for uniform experiment sweeps.
@@ -39,6 +40,6 @@ pub use arrival::{
     ArrivalProcess, CompositeProcess, ConstantRate, DiurnalRate, FlashCrowd, MmppRate, NoisyRate,
     RampRate, SpikeTrain, StepRate,
 };
-pub use click::{ClickRecord, ClickStreamConfig, ClickStreamGenerator, EventKind};
+pub use click::{ClickRecord, ClickStreamConfig, ClickStreamGenerator};
 pub use scenarios::Scenario;
 pub use trace::RateTrace;

@@ -12,7 +12,8 @@
 //! *deterministic*: per-layer RNG streams make a faulted trace
 //! byte-identical at any worker count, and the zero-fault plan installs
 //! nothing at all — reproducing the pre-chaos golden fixture byte for
-//! byte.
+//! byte. Each preset's faulted trace is also pinned by digest and length,
+//! so a change that moves its bytes at every worker count alike fails.
 
 use flower_core::flow::clickstream_flow;
 use flower_core::prelude::*;
@@ -86,6 +87,36 @@ fn assert_fault_events_are_attributed(trace: &Trace) {
     }
 }
 
+/// Each preset's 45-minute faulted trace, pinned by FNV-1a 64 digest and
+/// byte length. No golden fixture holds a `chaos.*` or `resilience.*`
+/// line, so the worker-count equality checks alone would not notice a
+/// change that moves those lines' bytes on every worker count at once.
+const PINNED_TRACES: [(&str, u64, usize); 4] = [
+    ("flaky-actuator", 0x320d_5b54_9807_dd6b, 180_819),
+    ("stale-sensor", 0x4bc7_2a21_8236_5e3c, 164_284),
+    ("slow-resize", 0x1596_7e17_c637_4537, 179_137),
+    ("throttle-storm", 0xa2ef_ca8b_8e8b_3222, 187_116),
+];
+
+/// 64-bit FNV-1a.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn assert_pinned(preset: &str, doc: &str) {
+    let &(_, digest, len) = PINNED_TRACES
+        .iter()
+        .find(|(name, _, _)| *name == preset)
+        .unwrap();
+    assert_eq!(
+        (fnv1a64(doc.as_bytes()), doc.len()),
+        (digest, len),
+        "the {preset} trace moved (digest, bytes)"
+    );
+}
+
 /// After the last fault window closes (all presets close by minute 25),
 /// the controllers must pull the flow back out of overload: the final
 /// five minutes of ingestion utilization sit inside the working band.
@@ -127,6 +158,7 @@ fn flaky_actuator_retries_recovers_and_stays_deterministic() {
     let (report, one) = faulted_episode(preset("flaky-actuator"), Some(1));
     let (_, eight) = faulted_episode(preset("flaky-actuator"), Some(8));
     assert_eq!(one, eight, "faulted trace differs across worker counts");
+    assert_pinned("flaky-actuator", &one);
 
     let trace = parse_trace(&one).unwrap();
     assert_eq!(trace.dropped, 0, "flight recorder overflowed");
@@ -156,6 +188,7 @@ fn stale_sensor_enters_and_exits_degraded_mode() {
     let (report, one) = faulted_episode(preset("stale-sensor"), Some(1));
     let (_, eight) = faulted_episode(preset("stale-sensor"), Some(8));
     assert_eq!(one, eight, "faulted trace differs across worker counts");
+    assert_pinned("stale-sensor", &one);
 
     let trace = parse_trace(&one).unwrap();
     assert_fault_events_are_attributed(&trace);
@@ -188,6 +221,7 @@ fn slow_resize_trips_actuation_timeouts_then_lands() {
     let (report, one) = faulted_episode(preset("slow-resize"), Some(1));
     let (_, eight) = faulted_episode(preset("slow-resize"), Some(8));
     assert_eq!(one, eight, "faulted trace differs across worker counts");
+    assert_pinned("slow-resize", &one);
 
     let trace = parse_trace(&one).unwrap();
     assert_fault_events_are_attributed(&trace);
@@ -209,6 +243,7 @@ fn throttle_storm_injects_and_diverges_from_golden() {
     ));
     let (report, doc) = faulted_episode(preset("throttle-storm"), Some(2));
     assert_ne!(doc, golden, "a storming episode cannot match the fixture");
+    assert_pinned("throttle-storm", &doc);
 
     let trace = parse_trace(&doc).unwrap();
     assert_fault_events_are_attributed(&trace);

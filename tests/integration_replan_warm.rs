@@ -61,13 +61,7 @@ fn populated_store(minutes: u64) -> MetricsStore {
         let records = generator.tick(&mut process, now, 1.0);
         engine.tick(&records, now, SimDuration::from_secs(1));
     }
-    let mut out = MetricsStore::new();
-    for id in engine.metrics().list() {
-        for (t, v) in engine.metrics().raw(id, SimTime::ZERO, SimTime::MAX) {
-            out.put(id.clone(), t, v);
-        }
-    }
-    out
+    engine.metrics().clone()
 }
 
 fn warm_replanner(workers: usize) -> Replanner {
