@@ -289,6 +289,33 @@ mod tests {
     }
 
     #[test]
+    fn command_stream_is_pinned_bit_for_bit() {
+        // Load steps between 6 and 12 keep the estimator moving; one
+        // sync and one reset mid-run cover both ways the model restarts.
+        let mut c = controller();
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut u = 5.0;
+        for i in 0..400 {
+            if i == 150 {
+                c.sync_actuator(u * 0.5);
+                u = c.actuator();
+            }
+            if i == 275 {
+                c.reset();
+            }
+            let load = if (i / 40) % 2 == 0 { 6.0 } else { 12.0 };
+            let command = c.step(plant(load, u));
+            for bits in [command.to_bits(), c.model_gain().to_bits()] {
+                for byte in bits.to_le_bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            u = command.max(0.5);
+        }
+        assert_eq!(digest, 0x7fa2_e763_2c86_a0b9);
+    }
+
+    #[test]
     #[should_panic(expected = "forgetting factor")]
     fn bad_forgetting_rejected() {
         QuasiAdaptiveController::new(QuasiAdaptiveConfig {

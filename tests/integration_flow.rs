@@ -61,6 +61,66 @@ fn fig2_dependency_emerges_from_the_simulated_flow() {
     assert!(ingestion_analytics.fit.slope > 0.0);
     assert!(ingestion_analytics.fit.intercept > 0.0);
     assert!(ingestion_analytics.fit.slope_is_significant());
+
+    // Every field of every pair's fit, bit for bit: the bucket-mean
+    // alignment and the least-squares sums are pure arithmetic over the
+    // simulated metrics, so any reordering of either shows here.
+    let outcomes = analyzer
+        .analyze(engine.metrics(), SimTime::ZERO, SimTime::from_mins(120))
+        .unwrap();
+    let fits: Vec<[u64; 8]> = outcomes
+        .iter()
+        .map(|outcome| match outcome {
+            PairOutcome::Dependent(d) => [
+                d.fit.intercept.to_bits(),
+                d.fit.slope.to_bits(),
+                d.fit.r_squared.to_bits(),
+                d.fit.correlation.to_bits(),
+                d.fit.residual_std_error.to_bits(),
+                d.fit.slope_std_error.to_bits(),
+                d.fit.slope_t_stat.to_bits(),
+                d.fit.n as u64,
+            ],
+            other => panic!("every pair of this flow is dependent: {other:?}"),
+        })
+        .collect();
+    // Pair order as `analyze` returns it; the last entry of each row is n.
+    let pinned: [[u64; 8]; 3] = [
+        // ingestion → analytics
+        [
+            0x4013_3402_3f0d_dab0,
+            0x3f83_7ef0_f675_034f,
+            0x3fef_ffff_f247_b5a8,
+            0x3fef_ffff_f923_dad1,
+            0x3f61_c707_14ac_007d,
+            0x3e82_cd81_ff53_554f,
+            0x40f0_96fc_288d_ea4d,
+            120,
+        ],
+        // ingestion → storage
+        [
+            0x3f5a_f960_88e8_0000,
+            0x3f94_7a95_145f_841e,
+            0x3fef_ffff_c30e_9641,
+            0x3fef_ffff_e187_4b16,
+            0x3f83_ada9_92a9_565e,
+            0x3ea4_d035_8b31_4ced,
+            0x40df_7c59_c95b_b6fa,
+            120,
+        ],
+        // analytics → storage
+        [
+            0xc024_2b07_731b_8bbc,
+            0x4000_ce84_c0e3_f2ed,
+            0x3fef_ffff_d976_d375,
+            0x3fef_ffff_ecbb_69ad,
+            0x3f7f_4bc9_ca33_7857,
+            0x3f0b_2a64_493d_7c55,
+            0x40e3_cc32_9b4e_56b4,
+            120,
+        ],
+    ];
+    assert_eq!(fits, pinned);
 }
 
 #[test]
