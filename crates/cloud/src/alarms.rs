@@ -93,13 +93,6 @@ pub struct Alarm {
     state: AlarmState,
     breaching_streak: u32,
     ok_streak: u32,
-    /// Consecutive empty evaluation windows the alarm tolerates before
-    /// falling back to `INSUFFICIENT_DATA` (CloudWatch "treat missing
-    /// data as ignore", bounded). While tolerated, the alarm holds its
-    /// state *and* its streaks, so a single stale window caused by a
-    /// sensor dropout cannot flap the state machine.
-    missing_tolerance: u32,
-    missing_streak: u32,
 }
 
 impl Alarm {
@@ -129,18 +122,7 @@ impl Alarm {
             state: AlarmState::InsufficientData,
             breaching_streak: 0,
             ok_streak: 0,
-            missing_tolerance: 0,
-            missing_streak: 0,
         }
-    }
-
-    /// Tolerate up to `windows` consecutive empty evaluation windows
-    /// before resetting to `INSUFFICIENT_DATA`. The default of 0 keeps
-    /// the strict behavior (any empty window resets immediately).
-    #[must_use]
-    pub fn tolerate_missing(mut self, windows: u32) -> Alarm {
-        self.missing_tolerance = windows;
-        self
     }
 
     /// Current state.
@@ -155,17 +137,12 @@ impl Alarm {
         let value = store.window_stat(&self.metric, self.statistic, now - self.period, now);
         let new_state = match value {
             None => {
-                self.missing_streak += 1;
-                if self.missing_streak <= self.missing_tolerance {
-                    self.state // tolerated gap: hold state and streaks
-                } else {
-                    self.breaching_streak = 0;
-                    self.ok_streak = 0;
-                    AlarmState::InsufficientData
-                }
+                // An empty window resets the alarm at once.
+                self.breaching_streak = 0;
+                self.ok_streak = 0;
+                AlarmState::InsufficientData
             }
             Some(v) => {
-                self.missing_streak = 0;
                 if self.comparison.breaches(v, self.threshold) {
                     self.breaching_streak += 1;
                     self.ok_streak = 0;
@@ -366,76 +343,6 @@ mod tests {
             .expect("transition");
         assert_eq!(t.to, AlarmState::InsufficientData);
         assert_eq!(t.value, None);
-    }
-
-    #[test]
-    fn tolerated_dropout_does_not_flap() {
-        // An injected single-window metric dropout must not flap the
-        // alarm: with tolerance 1, one empty window holds the state and
-        // the breach streak survives the gap.
-        let mut alarm = cpu_alarm(2).tolerate_missing(1);
-        let store = store_with(&[90.0, 95.0]);
-        alarm.evaluate(&store, SimTime::from_secs(60)); // breach #1 → OK
-        alarm.evaluate(&store, SimTime::from_secs(120)); // breach #2 → ALARM
-        assert_eq!(alarm.state(), AlarmState::Alarm);
-        // Stale window (no datapoints in [180s, 240s)): held, no transition.
-        assert!(alarm.evaluate(&store, SimTime::from_secs(240)).is_none());
-        assert_eq!(alarm.state(), AlarmState::Alarm);
-        // A second consecutive empty window exceeds the tolerance.
-        let t = alarm
-            .evaluate(&store, SimTime::from_secs(300))
-            .expect("tolerance exhausted");
-        assert_eq!(t.to, AlarmState::InsufficientData);
-    }
-
-    #[test]
-    fn dropout_mid_streak_preserves_the_streak() {
-        // OK alarm one breach away from firing: a tolerated gap must not
-        // zero the breaching streak, so the next breach still fires.
-        let mut alarm = cpu_alarm(2).tolerate_missing(1);
-        let mut store = MetricsStore::new();
-        let cpu = store.register(id());
-        store.push(cpu, SimTime::from_secs(0), 50.0);
-        store.push(cpu, SimTime::from_secs(60), 90.0);
-        // 120–180s left empty (dropout), breach resumes at 180s.
-        store.push(cpu, SimTime::from_secs(180), 95.0);
-        alarm.evaluate(&store, SimTime::from_secs(60)); // 50 → OK
-        assert!(alarm.evaluate(&store, SimTime::from_secs(120)).is_none()); // breach #1
-        assert!(alarm.evaluate(&store, SimTime::from_secs(180)).is_none()); // gap, held
-        let t = alarm
-            .evaluate(&store, SimTime::from_secs(240))
-            .expect("breach #2 after the tolerated gap fires");
-        assert_eq!(t.to, AlarmState::Alarm);
-    }
-
-    #[test]
-    fn fresh_data_resets_missing_streak() {
-        let mut alarm = cpu_alarm(1).tolerate_missing(1);
-        let mut store = MetricsStore::new();
-        let cpu = store.register(id());
-        store.push(cpu, SimTime::from_secs(0), 90.0);
-        store.push(cpu, SimTime::from_secs(120), 90.0);
-        store.push(cpu, SimTime::from_secs(240), 90.0);
-        alarm.evaluate(&store, SimTime::from_secs(60)); // → ALARM
-        assert_eq!(alarm.state(), AlarmState::Alarm);
-        // Alternating gap/data stays in ALARM throughout: each gap is
-        // within tolerance and each datapoint resets the gap streak.
-        for s in [180, 240, 300] {
-            assert!(alarm.evaluate(&store, SimTime::from_secs(s)).is_none());
-            assert_eq!(alarm.state(), AlarmState::Alarm, "flapped at t={s}s");
-        }
-    }
-
-    #[test]
-    fn default_tolerance_keeps_strict_reset() {
-        let mut alarm = cpu_alarm(1);
-        let store = store_with(&[90.0]);
-        alarm.evaluate(&store, SimTime::from_secs(60));
-        assert_eq!(alarm.state(), AlarmState::Alarm);
-        let t = alarm
-            .evaluate(&store, SimTime::from_secs(600))
-            .expect("strict alarms reset on the first empty window");
-        assert_eq!(t.to, AlarmState::InsufficientData);
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl QuasiAdaptiveController {
         );
         assert!(config.fallback_gain > 0.0, "fallback gain must be positive");
         QuasiAdaptiveController {
-            rls: RecursiveLeastSquares::new(1, config.forgetting, 100.0),
+            rls: RecursiveLeastSquares::new(config.forgetting, 100.0),
             u: config.u_init,
             prev_y: None,
             last_du: None,
@@ -99,7 +99,7 @@ impl QuasiAdaptiveController {
 
     /// Current estimate `b̂` of the actuator-to-measurement gain.
     pub fn model_gain(&self) -> f64 {
-        self.rls.theta()[0]
+        self.rls.theta()
     }
 
     fn slew_limit(&self, proposed: f64) -> f64 {
@@ -113,7 +113,7 @@ impl Controller for QuasiAdaptiveController {
         // Fold the newest (Δu, Δy) observation into the model.
         if let (Some(py), Some(du)) = (self.prev_y, self.last_du) {
             if du.abs() > 1e-9 {
-                self.rls.update(&[du], measurement - py);
+                self.rls.update(du, measurement - py);
             }
         }
         self.prev_y = Some(measurement);
@@ -165,7 +165,7 @@ impl Controller for QuasiAdaptiveController {
     }
 
     fn reset(&mut self) {
-        self.rls = RecursiveLeastSquares::new(1, self.config.forgetting, 100.0);
+        self.rls = RecursiveLeastSquares::new(self.config.forgetting, 100.0);
         self.u = self.config.u_init;
         self.prev_y = None;
         self.last_du = None;

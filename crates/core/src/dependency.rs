@@ -19,8 +19,7 @@
 
 use flower_cloud::{MetricId, MetricsStore};
 use flower_sim::{SimDuration, SimTime};
-use flower_stats::regression::SimpleOls;
-use flower_stats::timeseries::{Agg, TimeSeries};
+use flower_stats::{align_bucket_means, SimpleOls};
 
 use crate::error::FlowerError;
 use crate::flow::Layer;
@@ -153,16 +152,6 @@ impl DependencyAnalyzer {
         &self.metrics
     }
 
-    fn series(
-        &self,
-        store: &MetricsStore,
-        id: &MetricId,
-        from: SimTime,
-        to: SimTime,
-    ) -> TimeSeries {
-        TimeSeries::from_points(store.raw(id, from, to))
-    }
-
     /// Analyze every cross-layer pair over `[from, to)`.
     ///
     /// Each ordered pair `(target, source)` with `target.layer !=
@@ -201,17 +190,17 @@ impl DependencyAnalyzer {
         from: SimTime,
         to: SimTime,
     ) -> PairOutcome {
-        let s = self.series(store, &source.id, from, to);
-        let t = self.series(store, &target.id, from, to);
-        let aligned = TimeSeries::align(&s, &t, self.config.period, Agg::Mean);
-        if aligned.len() < self.config.min_samples {
+        let (xs, ys) = align_bucket_means(
+            &store.raw(&source.id, from, to),
+            &store.raw(&target.id, from, to),
+            self.config.period,
+        );
+        if xs.len() < self.config.min_samples {
             return PairOutcome::Insufficient {
                 target: target.clone(),
                 source: source.clone(),
             };
         }
-        let xs: Vec<f64> = aligned.iter().map(|&(_, a, _)| a).collect();
-        let ys: Vec<f64> = aligned.iter().map(|&(_, _, b)| b).collect();
         match SimpleOls::fit(&xs, &ys) {
             Ok(fit) if fit.correlation.abs() >= self.config.min_correlation => {
                 PairOutcome::Dependent(Dependency {

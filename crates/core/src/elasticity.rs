@@ -48,7 +48,7 @@ use flower_obs::{kind, FieldValue, Recorder, SpanId};
 use flower_sim::{EventHandle, Scheduler, SimDuration, SimRng, SimTime};
 use flower_workload::{
     ArrivalProcess, ClickStreamConfig, ClickStreamGenerator, ConstantRate, DiurnalRate, FlashCrowd,
-    RateTrace, StepRate,
+    StepRate,
 };
 
 use flower_chaos::{FaultInjector, FaultPlan};
@@ -107,14 +107,6 @@ impl Workload {
                 SimDuration::from_mins(5),
                 SimDuration::from_mins(10),
             )),
-            click: ClickStreamConfig::default(),
-        }
-    }
-
-    /// Replay a recorded trace.
-    pub fn replay(trace: &RateTrace) -> Workload {
-        Workload {
-            process: Box::new(trace.replay()),
             click: ClickStreamConfig::default(),
         }
     }

@@ -3,8 +3,7 @@
 //! Experiment binaries and downstream plotting tools consume episodes as
 //! flat CSV: one row per simulated second with every trace column, plus
 //! a compact summary. Hand-rolled writers keep the dependency set small;
-//! the format round-trips through [`flower_workload::RateTrace`]-style
-//! parsing and ordinary spreadsheet tools.
+//! the output opens in ordinary spreadsheet tools.
 
 use std::io::Write;
 

@@ -195,25 +195,6 @@ impl Executor {
         });
         out
     }
-
-    /// Map `f(chunk_start, chunk)` over contiguous chunks of at most
-    /// `chunk_size` items, returning one result per chunk in chunk
-    /// order. The chunk boundaries depend only on
-    /// `(items.len(), chunk_size)`, never on the worker count.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        let chunk_size = chunk_size.max(1);
-        let n_chunks = items.len().div_ceil(chunk_size);
-        self.par_map_index(n_chunks, |c| {
-            let start = c * chunk_size;
-            let end = (start + chunk_size).min(items.len());
-            f(start, &items[start..end])
-        })
-    }
 }
 
 /// The half-open index range of worker `w` when `n` items are split
@@ -269,7 +250,6 @@ mod tests {
         assert!(exec.par_map_index(0, |i| i).is_empty());
         assert!(exec.par_map(&empty, |_, &x| x).is_empty());
         assert!(exec.par_map_owned(empty.clone(), |_, x| x).is_empty());
-        assert!(exec.par_chunks(&empty, 8, |_, c| c.len()).is_empty());
     }
 
     #[test]
@@ -310,21 +290,6 @@ mod tests {
         let out = Executor::new(4).par_map_owned(items, |i, b| *b + i as u32);
         assert_eq!(out.len(), 33);
         assert_eq!(out[10], 20);
-    }
-
-    #[test]
-    fn par_chunks_boundaries_are_exact() {
-        let items: Vec<u32> = (0..10).collect();
-        let exec = Executor::new(3);
-        // chunk_size 4 → chunks [0..4), [4..8), [8..10)
-        let sums = exec.par_chunks(&items, 4, |start, chunk| (start, chunk.iter().sum::<u32>()));
-        assert_eq!(sums, vec![(0, 6), (4, 22), (8, 17)]);
-        // chunk_size larger than the input → one chunk
-        let one = exec.par_chunks(&items, 100, |start, chunk| (start, chunk.len()));
-        assert_eq!(one, vec![(0, 10)]);
-        // chunk_size 0 is clamped to 1
-        let singles = exec.par_chunks(&items[..3], 0, |_, chunk| chunk.len());
-        assert_eq!(singles, vec![1, 1, 1]);
     }
 
     #[test]

@@ -208,27 +208,6 @@ impl SimRng {
     }
 }
 
-impl SimRng {
-    /// Next raw 32-bit output (upper half of [`SimRng::next_u64`]).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fill a byte slice with pseudo-random bytes (little-endian words).
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&SimRng::next_u64(self).to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = SimRng::next_u64(self).to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,15 +317,6 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn rng_core_fill_bytes_covers_remainder() {
-        let mut rng = SimRng::seed(31);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        // Overwhelmingly unlikely to remain all zeros.
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

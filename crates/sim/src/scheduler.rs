@@ -269,38 +269,6 @@ impl<S> Scheduler<S> {
         }
         Some(at)
     }
-
-    /// Schedule `action` to run every `period`, starting at `start`.
-    /// The action returns `true` to keep the recurrence alive and `false`
-    /// to stop rescheduling itself.
-    pub fn schedule_periodic(
-        &mut self,
-        start: SimTime,
-        period: SimDuration,
-        action: impl FnMut(&mut Scheduler<S>, &mut S) -> bool + 'static,
-    ) {
-        assert!(
-            !period.is_zero(),
-            "periodic event with zero period would livelock"
-        );
-        fn reschedule<S>(
-            sched: &mut Scheduler<S>,
-            period: SimDuration,
-            mut action: impl FnMut(&mut Scheduler<S>, &mut S) -> bool + 'static,
-        ) {
-            sched.schedule_in(period, move |s, st| {
-                if action(s, st) {
-                    reschedule(s, period, action);
-                }
-            });
-        }
-        let mut action = action;
-        self.schedule_at(start, move |s, st| {
-            if action(s, st) {
-                reschedule(s, period, action);
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -442,29 +410,6 @@ mod tests {
         sched.cancel(h2);
         assert_eq!(sched.next_event_time(), Some(SimTime::from_secs(3)));
         assert_eq!(sched.cancelled_backlog(), 0, "pruning reaps cancelled");
-    }
-
-    #[test]
-    fn periodic_event_repeats_until_stopped() {
-        let mut sched: Scheduler<Vec<u64>> = Scheduler::new();
-        sched.schedule_periodic(
-            SimTime::from_secs(10),
-            SimDuration::from_secs(10),
-            |s, log: &mut Vec<u64>| {
-                log.push(s.now().as_secs());
-                log.len() < 4
-            },
-        );
-        let mut log = Vec::new();
-        sched.run(&mut log);
-        assert_eq!(log, vec![10, 20, 30, 40]);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero period")]
-    fn zero_period_panics() {
-        let mut sched: Scheduler<()> = Scheduler::new();
-        sched.schedule_periodic(SimTime::ZERO, SimDuration::ZERO, |_, _| true);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! failure replays bit-for-bit).
 
 use flower_sim::testkit::{forall, vec_bool, vec_u64};
-use flower_sim::{Scheduler, SimDuration, SimRng, SimTime};
+use flower_sim::{Scheduler, SimRng, SimTime};
 
 /// Events always execute in non-decreasing time order, with FIFO
 /// tie-breaking, whatever order they were scheduled in.
@@ -118,31 +118,5 @@ fn poisson_sane() {
         let draw = draw_rng.poisson(lambda);
         // 12 sigma above the mean is effectively impossible.
         assert!((draw as f64) < lambda + 12.0 * lambda.sqrt() + 20.0);
-    });
-}
-
-/// Periodic events fire exactly on the grid.
-#[test]
-fn periodic_grid() {
-    forall(64, |rng| {
-        let start = rng.below(100);
-        let period = 1 + rng.below(49);
-        let count = 1 + rng.below(19) as usize;
-        let mut sched: Scheduler<Vec<u64>> = Scheduler::new();
-        let target = count;
-        sched.schedule_periodic(
-            SimTime::from_millis(start),
-            SimDuration::from_millis(period),
-            move |s, log: &mut Vec<u64>| {
-                log.push(s.now().as_millis());
-                log.len() < target
-            },
-        );
-        let mut log = Vec::new();
-        sched.run(&mut log);
-        assert_eq!(log.len(), count);
-        for (i, &t) in log.iter().enumerate() {
-            assert_eq!(t, start + period * i as u64);
-        }
     });
 }

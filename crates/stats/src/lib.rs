@@ -6,52 +6,29 @@
 )]
 //! # flower-stats
 //!
-//! Statistical substrate for the Flower reproduction.
+//! The two estimators the Flower reproduction needs:
 //!
-//! Flower's *workload dependency analysis* (paper §3.1) fits linear
-//! regression models between resource measures of different layers of a
-//! data analytics flow — e.g. Eq. 2 of the paper,
-//! `CPU ≈ 0.0002 · WriteCapacity + 4.8` — and screens candidate
-//! dependencies by correlation strength (Fig. 2 reports a Pearson
-//! coefficient of 0.95 between ingestion arrival rate and analytics CPU).
-//!
-//! This crate implements everything that analysis needs, from scratch:
-//!
-//! * [`descriptive`] — means, variances, percentiles, summaries.
-//! * [`matrix`] — a small dense-matrix type with a Gaussian-elimination
-//!   solver, enough for normal-equation least squares.
-//! * [`regression`] — simple and multiple ordinary least squares with full
-//!   diagnostics (R², standard errors, t statistics, confidence
-//!   intervals).
-//! * [`correlation`] — Pearson, Spearman, lagged cross-correlation, and
-//!   correlation matrices.
-//! * [`timeseries`] — a `(time, value)` series with rolling windows,
-//!   EWMA smoothing, resampling, and alignment of two series on a shared
-//!   clock (needed before any cross-layer regression).
-//! * [`online`] — recursive least squares (RLS) with forgetting factor,
-//!   the online estimator used by the quasi-adaptive baseline controller
-//!   [Padala et al. 2007] that the paper compares against.
+//! * [`SimpleOls`] — the least-squares line of Flower's *workload
+//!   dependency analysis* (paper §3.1, Eq. 1) with its Pearson r, which
+//!   reproduces Fig. 2 (r = 0.95 between ingestion arrival rate and
+//!   analytics CPU) and Eq. 2 (`CPU ≈ 0.0002 · WriteCapacity + 4.8`).
+//!   [`align_bucket_means`] first puts the two metric series on one
+//!   period grid, since the layers publish on different cadences.
+//! * [`RecursiveLeastSquares`] — the one-parameter online estimator with
+//!   forgetting that the quasi-adaptive baseline controller [Padala et
+//!   al. 2007] re-derives its gain from (§3.3).
 
 #![deny(missing_docs)]
 
-pub mod correlation;
-pub mod descriptive;
-pub mod float;
-pub mod matrix;
-pub mod online;
-pub mod regression;
-pub mod timeseries;
+mod online;
+mod regression;
+mod timeseries;
 
-pub use correlation::{
-    autocorrelation, correlation_time, cross_correlation, pearson, spearman, CorrelationMatrix,
-};
-pub use descriptive::Summary;
-pub use matrix::Matrix;
 pub use online::RecursiveLeastSquares;
-pub use regression::{MultipleOls, SimpleOls};
-pub use timeseries::TimeSeries;
+pub use regression::SimpleOls;
+pub use timeseries::align_bucket_means;
 
-/// Errors produced by statistical routines in this crate.
+/// Why [`SimpleOls::fit`] could not fit a line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatsError {
     /// The input had fewer observations than the routine requires.
@@ -68,11 +45,8 @@ pub enum StatsError {
         /// Length of the second input.
         right: usize,
     },
-    /// The regressor (or a regressor column) had zero variance, so the
-    /// model is unidentifiable.
+    /// The regressor had zero variance, so the model is unidentifiable.
     ZeroVariance,
-    /// The normal-equation system was singular (collinear regressors).
-    SingularSystem,
     /// An input contained a NaN or infinite value.
     NonFiniteInput,
 }
@@ -87,20 +61,9 @@ impl std::fmt::Display for StatsError {
                 write!(f, "length mismatch: {left} vs {right}")
             }
             StatsError::ZeroVariance => write!(f, "regressor has zero variance"),
-            StatsError::SingularSystem => {
-                write!(f, "singular normal equations (collinear regressors)")
-            }
             StatsError::NonFiniteInput => write!(f, "input contains NaN or infinite values"),
         }
     }
 }
 
 impl std::error::Error for StatsError {}
-
-pub(crate) fn check_finite(xs: &[f64]) -> Result<(), StatsError> {
-    if xs.iter().all(|x| x.is_finite()) {
-        Ok(())
-    } else {
-        Err(StatsError::NonFiniteInput)
-    }
-}

@@ -1,89 +1,54 @@
-//! Online (recursive) least squares.
+//! Online (recursive) least squares for one parameter.
 //!
 //! The quasi-adaptive baseline controller the paper compares against
 //! [Padala et al., *Adaptive control of virtualized resources in utility
-//! computing environments*, 2007] estimates a low-order linear model of
+//! computing environments*, 2007] estimates a first-order linear model of
 //! the controlled system *online* and re-derives its control gain from the
-//! current estimate each step. This module provides the standard RLS
-//! estimator with exponential forgetting that such a controller needs.
+//! current estimate each step. This module provides the RLS estimator
+//! with exponential forgetting that such a controller needs, for its one
+//! parameter.
 
-use crate::matrix::Matrix;
-
-/// Recursive least squares estimator for `y = θᵀx` with forgetting
+/// Recursive least squares estimator for `y = θ·x` with forgetting
 /// factor `λ ∈ (0, 1]` (1 = ordinary RLS, smaller = faster forgetting).
 #[derive(Debug, Clone)]
 pub struct RecursiveLeastSquares {
-    theta: Vec<f64>,
-    /// Inverse covariance matrix `P`.
-    p: Matrix,
+    theta: f64,
+    /// Inverse covariance `P`.
+    p: f64,
     lambda: f64,
-    updates: u64,
 }
 
 impl RecursiveLeastSquares {
-    /// Create an estimator of dimension `dim` with the given forgetting
-    /// factor. `P` is initialized to `delta·I`; a large `delta` (e.g.
-    /// 1000) means "no confidence in the zero prior".
-    pub fn new(dim: usize, lambda: f64, delta: f64) -> Self {
-        assert!(dim > 0, "dimension must be positive");
+    /// Create an estimator with the given forgetting factor. `P` starts
+    /// at `delta`; a large `delta` (e.g. 1000) means "no confidence in
+    /// the zero prior".
+    pub fn new(lambda: f64, delta: f64) -> Self {
         assert!(lambda > 0.0 && lambda <= 1.0, "lambda must be in (0, 1]");
         assert!(delta > 0.0, "delta must be positive");
-        let mut p = Matrix::zeros(dim, dim);
-        for i in 0..dim {
-            p[(i, i)] = delta;
-        }
         RecursiveLeastSquares {
-            theta: vec![0.0; dim],
-            p,
+            theta: 0.0,
+            p: delta,
             lambda,
-            updates: 0,
         }
     }
 
     /// Current parameter estimate θ.
-    pub fn theta(&self) -> &[f64] {
-        &self.theta
-    }
-
-    /// Number of updates folded so far.
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
-    /// Predicted output for regressor vector `x`.
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.theta.len(), "regressor dimension mismatch");
-        x.iter().zip(&self.theta).map(|(a, b)| a * b).sum()
+    pub fn theta(&self) -> f64 {
+        self.theta
     }
 
     /// Fold one observation `(x, y)` and return the *a-priori* prediction
-    /// error `y − θᵀx` (before the update).
-    pub fn update(&mut self, x: &[f64], y: f64) -> f64 {
-        let n = self.theta.len();
-        assert_eq!(x.len(), n, "regressor dimension mismatch");
-        // Px = P · x
-        let mut px = vec![0.0; n];
-        for (i, pxi) in px.iter_mut().enumerate() {
-            for (j, &xj) in x.iter().enumerate() {
-                *pxi += self.p[(i, j)] * xj;
-            }
-        }
-        // denom = λ + xᵀ P x
-        let denom = self.lambda + x.iter().zip(&px).map(|(a, b)| a * b).sum::<f64>();
-        // Gain k = Px / denom
-        let k: Vec<f64> = px.iter().map(|v| v / denom).collect();
-        let err = y - self.predict(x);
-        for (theta_i, &ki) in self.theta.iter_mut().zip(&k) {
-            *theta_i += ki * err;
-        }
-        // P ← (P − k·(Px)ᵀ) / λ
-        for (i, &ki) in k.iter().enumerate() {
-            for (j, &pxj) in px.iter().enumerate() {
-                let v = (self.p[(i, j)] - ki * pxj) / self.lambda;
-                self.p[(i, j)] = v;
-            }
-        }
-        self.updates += 1;
+    /// error `y − θ·x` (before the update).
+    pub fn update(&mut self, x: f64, y: f64) -> f64 {
+        // The operations of the vector form at dimension one, in its
+        // order, so results stay bit-identical: `P·x` accumulates from
+        // 0.0, and each inner product is a one-term `sum()`.
+        let px = 0.0 + self.p * x;
+        let denom = self.lambda + std::iter::once(x * px).sum::<f64>();
+        let k = px / denom;
+        let err = y - std::iter::once(x * self.theta).sum::<f64>();
+        self.theta += k * err;
+        self.p = (self.p - k * px) / self.lambda;
         err
     }
 }
@@ -95,56 +60,41 @@ mod tests {
 
     #[test]
     fn converges_to_true_parameters() {
-        let mut rls = RecursiveLeastSquares::new(2, 1.0, 1_000.0);
+        let mut rls = RecursiveLeastSquares::new(1.0, 1_000.0);
         let mut rng = SimRng::seed(1);
         for _ in 0..500 {
-            let x = [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)];
-            let y = 3.0 * x[0] - 2.0 * x[1] + rng.normal(0.0, 0.01);
-            rls.update(&x, y);
+            let x = rng.uniform(-1.0, 1.0);
+            rls.update(x, -2.0 * x + rng.normal(0.0, 0.01));
         }
-        assert!(
-            (rls.theta()[0] - 3.0).abs() < 0.02,
-            "theta={:?}",
-            rls.theta()
-        );
-        assert!(
-            (rls.theta()[1] + 2.0).abs() < 0.02,
-            "theta={:?}",
-            rls.theta()
-        );
-        assert_eq!(rls.updates(), 500);
+        assert!((rls.theta() + 2.0).abs() < 0.02, "theta={}", rls.theta());
     }
 
     #[test]
     fn forgetting_tracks_parameter_drift() {
-        let mut rls = RecursiveLeastSquares::new(1, 0.95, 1_000.0);
+        let mut rls = RecursiveLeastSquares::new(0.95, 1_000.0);
         let mut rng = SimRng::seed(2);
         // First regime: slope 1.
         for _ in 0..200 {
-            let x = [rng.uniform(0.5, 1.5)];
-            rls.update(&x, x[0]);
+            let x = rng.uniform(0.5, 1.5);
+            rls.update(x, x);
         }
-        assert!((rls.theta()[0] - 1.0).abs() < 0.05);
+        assert!((rls.theta() - 1.0).abs() < 0.05);
         // Second regime: slope 5; with forgetting it should re-converge.
         for _ in 0..200 {
-            let x = [rng.uniform(0.5, 1.5)];
-            rls.update(&x, 5.0 * x[0]);
+            let x = rng.uniform(0.5, 1.5);
+            rls.update(x, 5.0 * x);
         }
-        assert!(
-            (rls.theta()[0] - 5.0).abs() < 0.1,
-            "theta={:?}",
-            rls.theta()
-        );
+        assert!((rls.theta() - 5.0).abs() < 0.1, "theta={}", rls.theta());
     }
 
     #[test]
     fn prediction_error_shrinks() {
-        let mut rls = RecursiveLeastSquares::new(1, 1.0, 100.0);
+        let mut rls = RecursiveLeastSquares::new(1.0, 100.0);
         let mut first_err = 0.0;
         let mut last_err = 0.0;
         for i in 0..100 {
-            let x = [1.0 + (i % 7) as f64];
-            let e = rls.update(&x, 4.0 * x[0]).abs();
+            let x = 1.0 + (i % 7) as f64;
+            let e = rls.update(x, 4.0 * x).abs();
             if i == 0 {
                 first_err = e;
             }
@@ -157,15 +107,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn dimension_mismatch_panics() {
-        let mut rls = RecursiveLeastSquares::new(2, 1.0, 10.0);
-        rls.update(&[1.0], 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "lambda must be in (0, 1]")]
     fn invalid_lambda_panics() {
-        RecursiveLeastSquares::new(1, 1.5, 10.0);
+        RecursiveLeastSquares::new(1.5, 10.0);
     }
 }

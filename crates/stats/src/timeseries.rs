@@ -1,385 +1,102 @@
-//! A `(time, value)` series with the transformations the dependency
-//! analyzer and sensors need: rolling windows, EWMA smoothing, periodic
-//! resampling, and alignment of two series onto a shared clock (required
-//! before cross-layer correlation/regression, since different services
-//! publish metrics on different cadences).
+//! Alignment of two metric series on a shared period grid — required
+//! before a cross-layer regression, since different services publish
+//! metrics on different cadences.
+
+use std::cmp::Ordering;
 
 use flower_sim::{SimDuration, SimTime};
 
-use crate::descriptive;
-use crate::StatsError;
-
-/// How to aggregate datapoints that fall into the same resample bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Agg {
-    /// Arithmetic mean of the bucket.
-    Mean,
-    /// Sum of the bucket.
-    Sum,
-    /// Minimum of the bucket.
-    Min,
-    /// Maximum of the bucket.
-    Max,
-    /// Last value in the bucket (sample-and-hold semantics).
-    Last,
-    /// Number of datapoints in the bucket.
-    Count,
-}
-
-fn aggregate(values: &[f64], agg: Agg) -> f64 {
-    match agg {
-        Agg::Mean => descriptive::mean(values).unwrap_or(f64::NAN),
-        Agg::Sum => values.iter().sum(),
-        Agg::Min => descriptive::min(values).unwrap_or(f64::NAN),
-        Agg::Max => descriptive::max(values).unwrap_or(f64::NAN),
-        Agg::Last => values.last().copied().unwrap_or(f64::NAN),
-        Agg::Count => values.len() as f64,
-    }
-}
-
-/// A time-ordered series of `(SimTime, f64)` observations.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Empty series.
-    pub fn new() -> TimeSeries {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Build from points, which must be in non-decreasing time order.
-    pub fn from_points(points: Vec<(SimTime, f64)>) -> TimeSeries {
-        assert!(
-            points
-                .iter()
-                .zip(points.iter().skip(1))
-                .all(|(a, b)| a.0 <= b.0),
-            "time series points must be time-ordered"
-        );
-        TimeSeries { points }
-    }
-
-    /// Append an observation; time must not go backwards.
-    pub fn push(&mut self, t: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(t >= last, "time went backwards: {last} then {t}");
+/// Bucket two time-ordered series at multiples of `period`, average each
+/// bucket, and keep the buckets present in *both*, in time order, as the
+/// paired columns `(means of a, means of b)`.
+///
+/// This is the preprocessing step before any cross-layer regression:
+/// Kinesis and the Storm cluster publish on different cadences, so raw
+/// samples never share timestamps.
+///
+/// ```
+/// use flower_sim::{SimDuration, SimTime};
+/// let at = SimTime::from_secs;
+/// let a = [(at(0), 1.0), (at(60), 2.0), (at(90), 4.0)];
+/// let b = [(at(65), 20.0), (at(125), 30.0)];
+/// let (xs, ys) = flower_stats::align_bucket_means(&a, &b, SimDuration::from_secs(60));
+/// assert_eq!((xs, ys), (vec![3.0], vec![20.0]));
+/// ```
+pub fn align_bucket_means(
+    a: &[(SimTime, f64)],
+    b: &[(SimTime, f64)],
+    period: SimDuration,
+) -> (Vec<f64>, Vec<f64>) {
+    let a = bucket_means(a, period);
+    let b = bucket_means(b, period);
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&(ta, va)), Some(&(tb, vb))) = (a.get(i), b.get(j)) {
+        match ta.cmp(&tb) {
+            Ordering::Equal => {
+                xs.push(va);
+                ys.push(vb);
+                i += 1;
+                j += 1;
+            }
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
         }
-        self.points.push((t, value));
     }
+    (xs, ys)
+}
 
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Borrow the raw points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Just the values, in time order.
-    pub fn values(&self) -> Vec<f64> {
-        self.points.iter().map(|&(_, v)| v).collect()
-    }
-
-    /// Just the timestamps, in order.
-    pub fn times(&self) -> Vec<SimTime> {
-        self.points.iter().map(|&(t, _)| t).collect()
-    }
-
-    /// The sub-series with `from <= t < to`.
-    pub fn window(&self, from: SimTime, to: SimTime) -> TimeSeries {
-        let pts = self
-            .points
+/// The start and mean of every non-empty `period` bucket of a
+/// time-ordered series, each mean summed left to right.
+fn bucket_means(points: &[(SimTime, f64)], period: SimDuration) -> Vec<(SimTime, f64)> {
+    assert!(
+        points
             .iter()
-            .filter(|&&(t, _)| t >= from && t < to)
-            .copied()
-            .collect();
-        TimeSeries { points: pts }
-    }
-
-    /// The sub-series covering the last `span` before `now`
-    /// (`now − span <= t < now`) — exactly a sensor's monitoring window.
-    pub fn last_window(&self, now: SimTime, span: SimDuration) -> TimeSeries {
-        self.window(now - span, now)
-    }
-
-    /// Resample onto a fixed `period` grid (buckets aligned at multiples
-    /// of `period`), aggregating each bucket with `agg`. Empty buckets
-    /// are omitted.
-    pub fn resample(&self, period: SimDuration, agg: Agg) -> TimeSeries {
-        assert!(!period.is_zero(), "resample period must be non-zero");
-        let mut out = Vec::new();
-        let mut bucket_start: Option<SimTime> = None;
-        let mut bucket_vals: Vec<f64> = Vec::new();
-        for &(t, v) in &self.points {
-            let b = t.align_down(period);
-            match bucket_start {
-                Some(cur) if cur == b => bucket_vals.push(v),
-                Some(cur) => {
-                    out.push((cur, aggregate(&bucket_vals, agg)));
-                    bucket_vals.clear();
-                    bucket_vals.push(v);
-                    bucket_start = Some(b);
-                }
-                None => {
-                    bucket_start = Some(b);
-                    bucket_vals.push(v);
-                }
-            }
-        }
-        if let Some(cur) = bucket_start {
-            out.push((cur, aggregate(&bucket_vals, agg)));
-        }
-        TimeSeries { points: out }
-    }
-
-    /// Exponentially weighted moving average with smoothing factor
-    /// `alpha ∈ (0, 1]` (1 = no smoothing).
-    pub fn ewma(&self, alpha: f64) -> TimeSeries {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        let mut out = Vec::with_capacity(self.points.len());
-        let mut state: Option<f64> = None;
-        for &(t, v) in &self.points {
-            let s = match state {
-                None => v,
-                Some(prev) => alpha * v + (1.0 - alpha) * prev,
-            };
-            state = Some(s);
-            out.push((t, s));
-        }
-        TimeSeries { points: out }
-    }
-
-    /// Rolling mean over a count window of `k` observations (output point
-    /// `i` averages points `i−k+1 ..= i`, truncated at the start).
-    pub fn rolling_mean(&self, k: usize) -> TimeSeries {
-        assert!(k > 0, "window size must be positive");
-        let mut out = Vec::with_capacity(self.points.len());
-        let mut sum = 0.0;
-        for (i, &(t, v)) in self.points.iter().enumerate() {
-            sum += v;
-            if i >= k {
-                sum -= self.points[i - k].1;
-            }
-            let denom = (i + 1).min(k) as f64;
-            out.push((t, sum / denom));
-        }
-        TimeSeries { points: out }
-    }
-
-    /// First difference: `out[i] = v[i+1] − v[i]`, timestamped at the
-    /// later point.
-    pub fn diff(&self) -> TimeSeries {
-        let pts = self
-            .points
-            .iter()
-            .zip(self.points.iter().skip(1))
-            .map(|(&(_, prev), &(t, next))| (t, next - prev))
-            .collect();
-        TimeSeries { points: pts }
-    }
-
-    /// Scale every value by `factor`.
-    pub fn scale(&self, factor: f64) -> TimeSeries {
-        TimeSeries {
-            points: self.points.iter().map(|&(t, v)| (t, v * factor)).collect(),
-        }
-    }
-
-    /// Align two series onto the intersection of their resampled clocks:
-    /// both are bucketed at `period` with `agg`, and only buckets present
-    /// in *both* are returned, as `(bucket_time, value_a, value_b)`.
-    ///
-    /// This is the preprocessing step before any cross-layer regression:
-    /// Kinesis and the Storm cluster publish on different cadences, so raw
-    /// samples never share timestamps.
-    pub fn align(
-        a: &TimeSeries,
-        b: &TimeSeries,
-        period: SimDuration,
-        agg: Agg,
-    ) -> Vec<(SimTime, f64, f64)> {
-        let ra = a.resample(period, agg);
-        let rb = b.resample(period, agg);
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < ra.points.len() && j < rb.points.len() {
-            let (ta, va) = ra.points[i];
-            let (tb, vb) = rb.points[j];
-            match ta.cmp(&tb) {
-                std::cmp::Ordering::Equal => {
-                    out.push((ta, va, vb));
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-            }
-        }
-        out
-    }
-
-    /// Summary statistics of the values; errors on an empty series.
-    pub fn summary(&self) -> Result<descriptive::Summary, StatsError> {
-        descriptive::Summary::of(&self.values())
-    }
+            .zip(points.iter().skip(1))
+            .all(|(p, q)| p.0 <= q.0),
+        "time series points must be time-ordered"
+    );
+    let bucket = |&(t, _): &(SimTime, f64)| t.align_down(period);
+    points
+        .chunk_by(|p, q| bucket(p) == bucket(q))
+        .filter_map(|run| {
+            let mean = run.iter().map(|&(_, v)| v).sum::<f64>() / run.len() as f64;
+            Some((bucket(run.first()?), mean))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ts(points: &[(u64, f64)]) -> TimeSeries {
-        TimeSeries::from_points(
-            points
-                .iter()
-                .map(|&(s, v)| (SimTime::from_secs(s), v))
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn push_maintains_order() {
-        let mut s = TimeSeries::new();
-        s.push(SimTime::from_secs(1), 1.0);
-        s.push(SimTime::from_secs(1), 2.0); // equal time allowed
-        s.push(SimTime::from_secs(2), 3.0);
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "time went backwards")]
-    fn push_rejects_time_travel() {
-        let mut s = TimeSeries::new();
-        s.push(SimTime::from_secs(5), 1.0);
-        s.push(SimTime::from_secs(4), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be time-ordered")]
-    fn from_points_rejects_disorder() {
-        ts(&[(2, 1.0), (1, 2.0)]);
-    }
-
-    #[test]
-    fn window_is_half_open() {
-        let s = ts(&[(0, 1.0), (10, 2.0), (20, 3.0), (30, 4.0)]);
-        let w = s.window(SimTime::from_secs(10), SimTime::from_secs(30));
-        assert_eq!(w.values(), vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn last_window_takes_recent_span() {
-        let s = ts(&[(0, 1.0), (30, 2.0), (60, 3.0), (90, 4.0)]);
-        let w = s.last_window(SimTime::from_secs(100), SimDuration::from_secs(60));
-        assert_eq!(w.values(), vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn resample_mean_and_sum() {
-        let s = ts(&[(0, 1.0), (30, 3.0), (60, 10.0), (61, 20.0), (150, 5.0)]);
-        let m = s.resample(SimDuration::from_secs(60), Agg::Mean);
-        assert_eq!(
-            m.points(),
-            &[
-                (SimTime::ZERO, 2.0),
-                (SimTime::from_secs(60), 15.0),
-                (SimTime::from_secs(120), 5.0)
-            ]
-        );
-        let sm = s.resample(SimDuration::from_secs(60), Agg::Sum);
-        assert_eq!(sm.values(), vec![4.0, 30.0, 5.0]);
-        let c = s.resample(SimDuration::from_secs(60), Agg::Count);
-        assert_eq!(c.values(), vec![2.0, 2.0, 1.0]);
-        let mn = s.resample(SimDuration::from_secs(60), Agg::Min);
-        assert_eq!(mn.values(), vec![1.0, 10.0, 5.0]);
-        let mx = s.resample(SimDuration::from_secs(60), Agg::Max);
-        assert_eq!(mx.values(), vec![3.0, 20.0, 5.0]);
-        let l = s.resample(SimDuration::from_secs(60), Agg::Last);
-        assert_eq!(l.values(), vec![3.0, 20.0, 5.0]);
-    }
-
-    #[test]
-    fn resample_empty_is_empty() {
-        let s = TimeSeries::new();
-        assert!(s.resample(SimDuration::from_secs(60), Agg::Mean).is_empty());
-    }
-
-    #[test]
-    fn ewma_smooths_and_converges() {
-        let s = ts(&[(0, 0.0), (1, 10.0), (2, 10.0), (3, 10.0)]);
-        let e = s.ewma(0.5);
-        let vals = e.values();
-        assert_eq!(vals[0], 0.0);
-        assert_eq!(vals[1], 5.0);
-        assert_eq!(vals[2], 7.5);
-        assert_eq!(vals[3], 8.75);
-        // alpha = 1 is identity.
-        assert_eq!(s.ewma(1.0).values(), s.values());
-    }
-
-    #[test]
-    fn rolling_mean_truncates_at_start() {
-        let s = ts(&[(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]);
-        let r = s.rolling_mean(2);
-        assert_eq!(r.values(), vec![1.0, 1.5, 2.5, 3.5]);
-        let r3 = s.rolling_mean(3);
-        assert_eq!(r3.values(), vec![1.0, 1.5, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn diff_produces_deltas() {
-        let s = ts(&[(0, 1.0), (1, 4.0), (2, 2.0)]);
-        let d = s.diff();
-        assert_eq!(d.values(), vec![3.0, -2.0]);
-        assert_eq!(
-            d.times(),
-            vec![SimTime::from_secs(1), SimTime::from_secs(2)]
-        );
-    }
-
-    #[test]
-    fn scale_multiplies_values() {
-        let s = ts(&[(0, 1.0), (1, -2.0)]);
-        assert_eq!(s.scale(3.0).values(), vec![3.0, -6.0]);
+    fn ts(points: &[(u64, f64)]) -> Vec<(SimTime, f64)> {
+        points
+            .iter()
+            .map(|&(s, v)| (SimTime::from_secs(s), v))
+            .collect()
     }
 
     #[test]
     fn align_intersects_buckets() {
         let a = ts(&[(0, 1.0), (60, 2.0), (120, 3.0)]);
         let b = ts(&[(65, 20.0), (125, 30.0), (185, 40.0)]);
-        let aligned = TimeSeries::align(&a, &b, SimDuration::from_secs(60), Agg::Mean);
-        assert_eq!(
-            aligned,
-            vec![
-                (SimTime::from_secs(60), 2.0, 20.0),
-                (SimTime::from_secs(120), 3.0, 30.0)
-            ]
-        );
+        let aligned = align_bucket_means(&a, &b, SimDuration::from_secs(60));
+        assert_eq!(aligned, (vec![2.0, 3.0], vec![20.0, 30.0]));
     }
 
     #[test]
     fn align_disjoint_is_empty() {
         let a = ts(&[(0, 1.0)]);
         let b = ts(&[(600, 2.0)]);
-        assert!(TimeSeries::align(&a, &b, SimDuration::from_secs(60), Agg::Mean).is_empty());
+        let (xs, ys) = align_bucket_means(&a, &b, SimDuration::from_secs(60));
+        assert!(xs.is_empty() && ys.is_empty());
     }
 
     #[test]
-    fn summary_errors_on_empty() {
-        assert!(TimeSeries::new().summary().is_err());
-        let s = ts(&[(0, 2.0), (1, 4.0)]);
-        let sum = s.summary().unwrap();
-        assert_eq!(sum.count, 2);
-        assert!((sum.mean - 3.0).abs() < 1e-12);
+    #[should_panic(expected = "must be time-ordered")]
+    fn align_rejects_disorder() {
+        let a = ts(&[(2, 1.0), (1, 2.0)]);
+        align_bucket_means(&a, &a, SimDuration::from_secs(60));
     }
 }

@@ -25,16 +25,12 @@
 //! * [`scenarios`] — a catalogue of named workload scenarios (diurnal,
 //!   flash crowds, periodic/random bursts, growth) composed from the
 //!   arrival primitives, for uniform experiment sweeps.
-//! * [`trace`] — recording of rate traces and replay of recorded traces
-//!   as an arrival process, plus CSV import/export so experiments can be
-//!   re-run bit-identically from a file.
 
 #![deny(missing_docs)]
 
 pub mod arrival;
 pub mod click;
 pub mod scenarios;
-pub mod trace;
 
 pub use arrival::{
     ArrivalProcess, CompositeProcess, ConstantRate, DiurnalRate, FlashCrowd, MmppRate, NoisyRate,
@@ -42,4 +38,3 @@ pub use arrival::{
 };
 pub use click::{ClickRecord, ClickStreamConfig, ClickStreamGenerator};
 pub use scenarios::Scenario;
-pub use trace::RateTrace;

@@ -43,7 +43,7 @@ pub const RULES: &[(&str, &str)] = &[
         "float-eq-zero",
         "exact ==/!= against a zero float literal, the one float comparison \
          clippy::float_cmp exempts: NaN-unsafe and rounding-brittle; use \
-         flower_stats::float::near_zero, or justify an exact-zero sentinel",
+         total_cmp or an explicit tolerance, or justify an exact-zero sentinel",
     ),
     (
         "allow-invalid",
@@ -554,7 +554,7 @@ fn scan_tokens(file: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Violat
                         t.line,
                         format!(
                             "exact `{}` against a zero float literal; use \
-                             flower_stats::float::near_zero",
+                             total_cmp or an explicit tolerance",
                             t.text
                         ),
                     );
