@@ -22,7 +22,10 @@
 //! answers what it injects.
 
 use flower_chaos::{FaultDecision, FaultInjector};
-use flower_cloud::{CloudEngine, SensorProbe};
+use flower_cloud::dynamo::DynamoError;
+use flower_cloud::engine::EngineError;
+use flower_cloud::kinesis::KinesisError;
+use flower_cloud::{CacheError, CloudEngine, SensorProbe};
 use flower_control::Controller;
 use flower_obs::{kind, Recorder};
 use flower_sim::{SimDuration, SimTime};
@@ -391,17 +394,19 @@ impl ProvisioningManager {
             if let Some(res) = self.resilience.as_mut() {
                 res.cancel(l.config.layer);
             }
-            let (decision, accepted, delayed) =
+            let (decision, outcome) =
                 actuate(self.injector.as_mut(), engine, l.config.layer, applied, now);
+            let (accepted, delayed) = (outcome.accepted(), outcome == Outcome::Delayed);
             if !accepted {
                 l.rejected += 1;
-                if let Some(res) = self.resilience.as_mut() {
-                    res.schedule_retry(l.config.layer, applied, 1, now);
-                }
             }
-            if delayed {
-                if let Some(res) = self.resilience.as_mut() {
-                    res.track_in_flight(l.config.layer, applied, now);
+            if let Some(res) = self.resilience.as_mut() {
+                match outcome {
+                    Outcome::Rejected { retry: true } => {
+                        res.schedule_retry(l.config.layer, applied, 1, now);
+                    }
+                    Outcome::Delayed => res.track_in_flight(l.config.layer, applied, now),
+                    Outcome::Applied | Outcome::Rejected { retry: false } => {}
                 }
             }
             // Sync the controller with reality while preserving sub-unit
@@ -513,7 +518,8 @@ impl ProvisioningManager {
             }
         }
         // 3. Due retries. Each re-enters the fault path — a retry can be
-        //    rejected again (and back off further) or be delayed.
+        //    rejected again (and back off further, if the rejection is
+        //    retryable) or be delayed.
         let mut due = Vec::new();
         res.retries.retain(|t| {
             if t.due <= now {
@@ -524,8 +530,8 @@ impl ProvisioningManager {
             }
         });
         for t in due {
-            let (_, accepted, delayed) =
-                actuate(self.injector.as_mut(), engine, t.layer, t.target, now);
+            let (_, outcome) = actuate(self.injector.as_mut(), engine, t.layer, t.target, now);
+            let accepted = outcome.accepted();
             if self.recorder.is_enabled() {
                 self.recorder.set_now(now);
                 self.recorder.emit(
@@ -542,13 +548,17 @@ impl ProvisioningManager {
             let Some(res) = self.resilience.as_mut() else {
                 return;
             };
-            if delayed {
-                res.track_in_flight(t.layer, t.target, now);
-            }
-            let exhausted = !accepted
-                && !res.schedule_retry(t.layer, t.target, t.attempt.saturating_add(1), now);
-            if exhausted && self.recorder.is_enabled() {
-                self.recorder.count("resilience.exhausted", 1);
+            match outcome {
+                Outcome::Delayed => res.track_in_flight(t.layer, t.target, now),
+                Outcome::Rejected { retry: true } => {
+                    let next = t.attempt.saturating_add(1);
+                    if !res.schedule_retry(t.layer, t.target, next, now)
+                        && self.recorder.is_enabled()
+                    {
+                        self.recorder.count("resilience.exhausted", 1);
+                    }
+                }
+                Outcome::Applied | Outcome::Rejected { retry: false } => {}
             }
         }
     }
@@ -584,18 +594,54 @@ impl ProvisioningManager {
     }
 }
 
+/// What the fault path did with one actuation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// The engine took it, possibly short of the target.
+    Applied,
+    /// The injector holds it; [`ProvisioningManager::poll`] lands it
+    /// when due. It counts as accepted.
+    Delayed,
+    /// Refused; `retry` when resending it unchanged may succeed.
+    Rejected {
+        /// Whether the rejection is [`retryable`].
+        retry: bool,
+    },
+}
+
+impl Outcome {
+    fn accepted(self) -> bool {
+        !matches!(self, Outcome::Rejected { .. })
+    }
+}
+
+/// The rejections worth retrying unchanged, named in one place: an
+/// injected reject (`None`) and a service still busy with an earlier
+/// resize. Any other refusal cannot clear within a backoff: DynamoDB's
+/// daily decrease limit holds until the next simulated day, and an
+/// out-of-range target or unknown layer never clears. Retrying one only
+/// repeats it; the next control round decides afresh.
+fn retryable(rejection: Option<&EngineError>) -> bool {
+    matches!(
+        rejection,
+        None | Some(
+            EngineError::Kinesis(KinesisError::ResourceInUse)
+                | EngineError::Dynamo(DynamoError::UpdateInProgress)
+                | EngineError::Cache(CacheError::ResizeInProgress)
+        )
+    )
+}
+
 /// One actuation of `layer` to `target` along the fault path: the
 /// injector, when attached, judges the request, and whatever it lets
-/// through reaches the engine. Returns the decision with
-/// `(accepted, delayed)`; a delayed actuation counts as accepted, and
-/// [`ProvisioningManager::poll`] lands it when due.
+/// through reaches the engine. Returns the decision with its outcome.
 fn actuate(
     injector: Option<&mut FaultInjector>,
     engine: &mut CloudEngine,
     layer: Layer,
     target: f64,
     now: SimTime,
-) -> (FaultDecision, bool, bool) {
+) -> (FaultDecision, Outcome) {
     let decision = match injector {
         Some(inj) => {
             let from = engine.actuator_units(layer).unwrap_or(target);
@@ -603,13 +649,21 @@ fn actuate(
         }
         None => FaultDecision::Pass,
     };
-    let (accepted, delayed) = match decision {
-        FaultDecision::Pass => (engine.actuate(layer, target, now).is_ok(), false),
-        FaultDecision::Short { target } => (engine.actuate(layer, target, now).is_ok(), false),
-        FaultDecision::Reject => (false, false),
-        FaultDecision::Delay { .. } => (true, true),
+    let applied = |result: Result<(), EngineError>| match result {
+        Ok(()) => Outcome::Applied,
+        Err(e) => Outcome::Rejected {
+            retry: retryable(Some(&e)),
+        },
     };
-    (decision, accepted, delayed)
+    let outcome = match decision {
+        FaultDecision::Pass => applied(engine.actuate(layer, target, now)),
+        FaultDecision::Short { target } => applied(engine.actuate(layer, target, now)),
+        FaultDecision::Reject => Outcome::Rejected {
+            retry: retryable(None),
+        },
+        FaultDecision::Delay { .. } => Outcome::Delayed,
+    };
+    (decision, outcome)
 }
 
 /// One degraded control round for `l`: enter degraded mode on the first

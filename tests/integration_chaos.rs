@@ -92,10 +92,10 @@ fn assert_fault_events_are_attributed(trace: &Trace) {
 /// line, so the worker-count equality checks alone would not notice a
 /// change that moves those lines' bytes on every worker count at once.
 const PINNED_TRACES: [(&str, u64, usize); 4] = [
-    ("flaky-actuator", 0x320d_5b54_9807_dd6b, 180_819),
-    ("stale-sensor", 0x4bc7_2a21_8236_5e3c, 164_284),
-    ("slow-resize", 0x1596_7e17_c637_4537, 179_137),
-    ("throttle-storm", 0xa2ef_ca8b_8e8b_3222, 187_116),
+    ("flaky-actuator", 0xa07e_da37_4397_0815, 137_397),
+    ("stale-sensor", 0xb9db_c13f_a0f0_90f4, 119_912),
+    ("slow-resize", 0xa561_ca35_8b55_2c2d, 141_670),
+    ("throttle-storm", 0xac72_041e_2c44_54e1, 147_440),
 ];
 
 /// 64-bit FNV-1a.

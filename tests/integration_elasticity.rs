@@ -313,6 +313,25 @@ fn rcu_loop_is_traced_like_every_other_loop() {
 }
 
 #[test]
+fn refused_decreases_are_not_retried() {
+    // DynamoDB's limit of four capacity decreases a day cannot clear
+    // before the next simulated day, so resending a refused decrease
+    // only repeats the refusal. Every rejection in this episode is that
+    // refusal, so the resilience policy, which is on, retries nothing.
+    let (_, trace) = traced_read_heavy(FaultPlan::none(), 1);
+    let of_kind = |k: &'static str| trace.events.iter().filter(move |e| e.kind == k);
+    let rejections: Vec<&str> = of_kind(kind::CLOUD_RESIZE)
+        .filter_map(|e| e.str("error"))
+        .collect();
+    assert!(!rejections.is_empty(), "the episode must hit the limit");
+    assert!(
+        rejections.iter().all(|e| e.contains("decrease limit")),
+        "{rejections:?}"
+    );
+    assert_eq!(of_kind(kind::RESILIENCE_RETRY).count(), 0);
+}
+
+#[test]
 fn a_storage_read_fault_reaches_only_the_read_loop() {
     let reject_reads = FaultPlan {
         seed: 4,
@@ -332,8 +351,7 @@ fn a_storage_read_fault_reaches_only_the_read_loop() {
     };
     let faults = layers_of(kind::CHAOS_FAULT);
     assert!(!faults.is_empty() && faults.iter().all(|&l| l == "storage_read"));
-    // Organic rejections elsewhere (the table's decrease limit) retry
-    // too; the injected ones retry under the read loop's layer.
+    // The injected rejections retry under the read loop's layer.
     assert!(layers_of(kind::RESILIENCE_RETRY).contains(&"storage_read"));
 
     // Ingestion and analytics decide exactly as without the fault. The

@@ -143,7 +143,7 @@ fn live_session_records_and_replays_byte_identically() {
         send(
             &mut stream,
             "{\"frame\":\"command\",\"id\":1,\"cmd\":\"inject-fault\",\"seed\":11,\
-             \"layer\":\"counter\",\"kind\":\"reject\",\"p\":1,\"for_s\":120}",
+             \"layer\":\"analytics\",\"kind\":\"reject\",\"p\":1,\"for_s\":120}",
         );
         read_until(&mut reader, &mut lines, "\"id\":1");
         send(
