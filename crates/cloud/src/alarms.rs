@@ -346,6 +346,19 @@ mod tests {
     }
 
     #[test]
+    fn default_tolerance_keeps_strict_reset() {
+        // An alarm tolerates no empty window: the first one resets it.
+        let mut alarm = cpu_alarm(1);
+        let store = store_with(&[90.0]);
+        alarm.evaluate(&store, SimTime::from_secs(60));
+        assert_eq!(alarm.state(), AlarmState::Alarm);
+        let t = alarm
+            .evaluate(&store, SimTime::from_secs(600))
+            .expect("strict alarms reset on the first empty window");
+        assert_eq!(t.to, AlarmState::InsufficientData);
+    }
+
+    #[test]
     fn comparison_directions() {
         assert!(Comparison::GreaterThan.breaches(81.0, 80.0));
         assert!(!Comparison::GreaterThan.breaches(80.0, 80.0));

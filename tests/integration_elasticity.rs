@@ -10,7 +10,8 @@ use flower_core::config::ControllerSpec;
 use flower_core::flow::{clickstream_flow, Layer};
 use flower_core::prelude::*;
 use flower_obs::{kind, parse_trace, Recorder, Trace};
-use flower_sim::{SimDuration, SimTime};
+use flower_sim::{SimDuration, SimRng, SimTime};
+use flower_workload::MmppRate;
 
 fn run(spec: ControllerSpec, workload: Workload, minutes: u64, seed: u64) -> EpisodeReport {
     let mut manager = ElasticityManager::builder(clickstream_flow())
@@ -63,6 +64,37 @@ fn adaptive_beats_fixed_gain_on_flash_crowd_settling() {
         adaptive.throttled_ingest,
         fixed.throttled_ingest
     );
+}
+
+#[test]
+fn adaptive_throttles_least_under_recurring_bursts() {
+    // E4 (EXPERIMENTS.md), the exp_controllers recipe on its
+    // gain-memory habitat: MMPP bursts between 500 and 4,000 rec/s, one
+    // hour, seed 5, setpoint 60. The adaptive controller must throttle
+    // fewer ingest records than every baseline.
+    let seed = 5;
+    let bursts = || {
+        Workload::custom(Box::new(MmppRate::new(
+            500.0,
+            4_000.0,
+            SimDuration::from_mins(8),
+            SimDuration::from_mins(4),
+            SimRng::seed(seed ^ 0xABCD),
+        )))
+    };
+    let adaptive = run(ControllerSpec::adaptive(60.0), bursts(), 60, seed).throttled_ingest;
+    for spec in [
+        ControllerSpec::fixed_gain(60.0),
+        ControllerSpec::quasi_adaptive(60.0),
+        ControllerSpec::rule_based(60.0),
+    ] {
+        let name = spec.name();
+        let baseline = run(spec, bursts(), 60, seed).throttled_ingest;
+        assert!(
+            adaptive < baseline,
+            "adaptive throttled {adaptive}, {name} {baseline}"
+        );
+    }
 }
 
 #[test]
