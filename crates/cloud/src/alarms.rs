@@ -137,7 +137,6 @@ impl Alarm {
         let value = store.window_stat(&self.metric, self.statistic, now - self.period, now);
         let new_state = match value {
             None => {
-                // An empty window resets the alarm at once.
                 self.breaching_streak = 0;
                 self.ok_streak = 0;
                 AlarmState::InsufficientData
