@@ -40,9 +40,10 @@ impl RecursiveLeastSquares {
     /// Fold one observation `(x, y)` and return the *a-priori* prediction
     /// error `y − θ·x` (before the update).
     pub fn update(&mut self, x: f64, y: f64) -> f64 {
-        // The operations of the vector form at dimension one, in its
-        // order, so results stay bit-identical: `P·x` accumulates from
-        // 0.0, and each inner product is a one-term `sum()`.
+        // `0.0 + …` and the one-term `sum()`s are the n-dimensional
+        // update at n = 1 (`P·x` accumulated from 0.0, inner products
+        // summed). They decide the sign of a zero result, so they stay:
+        // the quasi-adaptive controller's commands are pinned bit for bit.
         let px = 0.0 + self.p * x;
         let denom = self.lambda + std::iter::once(x * px).sum::<f64>();
         let k = px / denom;
