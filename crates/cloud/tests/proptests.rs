@@ -6,10 +6,10 @@
 //! tick pattern. Driven by the deterministic `testkit` harness.
 
 use flower_cloud::{
-    CloudEngine, DynamoConfig, DynamoTable, EngineConfig, KinesisConfig, KinesisStream,
-    StormCluster, StormConfig, Topology,
+    CloudEngine, DynamoConfig, DynamoTable, EngineConfig, KinesisConfig, KinesisStream, MetricId,
+    MetricsStore, Statistic, StormCluster, StormConfig, Topology,
 };
-use flower_sim::testkit::{forall, vec_u64};
+use flower_sim::testkit::{forall, vec_f64, vec_u64};
 use flower_sim::{SimDuration, SimRng, SimTime};
 use flower_workload::{ClickStreamConfig, ClickStreamGenerator};
 
@@ -162,5 +162,27 @@ fn engine_monotonicity_and_conservation() {
             large >= small,
             "bigger deployment accepted less: {large} < {small}"
         );
+    });
+}
+
+/// A window's percentile never falls as the percentile rises, and runs
+/// from the window's Minimum at p0 to its Maximum at p100.
+#[test]
+fn percentile_monotone() {
+    forall(128, |rng| {
+        let values = vec_f64(rng, -1e6, 1e6, 1, 49);
+        let id = MetricId::new("AWS/Test", "Value", "prop");
+        let mut store = MetricsStore::new();
+        let series = store.register(id.clone());
+        for (t, &v) in (0..).zip(&values) {
+            store.push(series, SimTime::from_secs(t), v);
+        }
+        let end = SimTime::from_secs(values.len() as u64);
+        let stat = |s| store.window_stat(&id, s, SimTime::ZERO, end).unwrap();
+        let (p1, p2) = (rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0));
+        let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
+        assert!(stat(Statistic::Percentile(lo)) <= stat(Statistic::Percentile(hi)) + 1e-6);
+        assert_eq!(stat(Statistic::Percentile(0.0)), stat(Statistic::Minimum));
+        assert_eq!(stat(Statistic::Percentile(100.0)), stat(Statistic::Maximum));
     });
 }

@@ -293,6 +293,27 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the thread that ran each item shows where the chunks split"
+    )]
+    fn par_chunks_boundaries_are_exact() {
+        // 10 items on 3 workers run as the chunk ranges [0..4), [4..7),
+        // [7..10), each on one thread, in both the borrowed and the
+        // owned map.
+        let items: Vec<u32> = (0..10).collect();
+        let exec = Executor::new(3);
+        let borrowed = exec.par_map(&items, |_, _| std::thread::current().id());
+        let owned = exec.par_map_owned(items, |_, _| std::thread::current().id());
+        for threads in [borrowed, owned] {
+            let starts: Vec<usize> = (0..threads.len())
+                .filter(|&i| i == 0 || threads[i] != threads[i - 1])
+                .collect();
+            assert_eq!(starts, vec![0, 4, 7]);
+        }
+    }
+
+    #[test]
     fn more_workers_than_items_is_fine() {
         let out = Executor::new(64).par_map(&[1u8, 2, 3], |_, &x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);

@@ -413,6 +413,24 @@ mod tests {
     }
 
     #[test]
+    fn periodic_event_repeats_until_stopped() {
+        // A recurring event is a chain that reschedules itself until its
+        // action stops it, as the core's sensor and control loops do.
+        fn tick(s: &mut Scheduler<Vec<u64>>, log: &mut Vec<u64>) {
+            log.push(s.now().as_secs());
+            if log.len() < 4 {
+                s.schedule_in(SimDuration::from_secs(10), tick);
+            }
+        }
+        let mut sched: Scheduler<Vec<u64>> = Scheduler::new();
+        sched.schedule_at(SimTime::from_secs(10), tick);
+        let mut log = Vec::new();
+        sched.run(&mut log);
+        assert_eq!(log, vec![10, 20, 30, 40]);
+        assert_eq!(sched.pending(), 0);
+    }
+
+    #[test]
     fn pending_excludes_cancelled() {
         let mut sched: Scheduler<()> = Scheduler::new();
         let h = sched.schedule_at(SimTime::from_secs(1), |_, _| {});

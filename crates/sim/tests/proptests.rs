@@ -6,7 +6,7 @@
 //! failure replays bit-for-bit).
 
 use flower_sim::testkit::{forall, vec_bool, vec_u64};
-use flower_sim::{Scheduler, SimRng, SimTime};
+use flower_sim::{Scheduler, SimDuration, SimRng, SimTime};
 
 /// Events always execute in non-decreasing time order, with FIFO
 /// tie-breaking, whatever order they were scheduled in.
@@ -118,5 +118,34 @@ fn poisson_sane() {
         let draw = draw_rng.poisson(lambda);
         // 12 sigma above the mean is effectively impossible.
         assert!((draw as f64) < lambda + 12.0 * lambda.sqrt() + 20.0);
+    });
+}
+
+/// One link of a recurring event: log the time, and reschedule one
+/// `period` later until `count` links have run.
+fn chain(s: &mut Scheduler<Vec<u64>>, log: &mut Vec<u64>, period: SimDuration, count: usize) {
+    log.push(s.now().as_millis());
+    if log.len() < count {
+        s.schedule_in(period, move |s, log| chain(s, log, period, count));
+    }
+}
+
+/// A self-rescheduling chain fires exactly on its period grid.
+#[test]
+fn periodic_grid() {
+    forall(64, |rng| {
+        let start = rng.below(100);
+        let period = 1 + rng.below(49);
+        let count = 1 + rng.below(19) as usize;
+        let mut sched: Scheduler<Vec<u64>> = Scheduler::new();
+        sched.schedule_at(SimTime::from_millis(start), move |s, log| {
+            chain(s, log, SimDuration::from_millis(period), count);
+        });
+        let mut log = Vec::new();
+        sched.run(&mut log);
+        assert_eq!(log.len(), count);
+        for (i, &t) in log.iter().enumerate() {
+            assert_eq!(t, start + period * i as u64);
+        }
     });
 }

@@ -95,8 +95,45 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "must be time-ordered")]
-    fn align_rejects_disorder() {
+    fn from_points_rejects_disorder() {
         let a = ts(&[(2, 1.0), (1, 2.0)]);
         align_bucket_means(&a, &a, SimDuration::from_secs(60));
+    }
+
+    #[test]
+    fn window_is_half_open() {
+        // Bucket k covers [k·period, (k+1)·period): 59.999 s closes the
+        // first minute and 60 s opens the second.
+        let a = [
+            (SimTime::ZERO, 1.0),
+            (SimTime::from_millis(59_999), 3.0),
+            (SimTime::from_millis(60_000), 10.0),
+        ];
+        let (xs, _) = align_bucket_means(&a, &a, SimDuration::from_secs(60));
+        assert_eq!(xs, vec![2.0, 10.0]);
+    }
+
+    #[test]
+    fn resample_empty_is_empty() {
+        let minute = SimDuration::from_secs(60);
+        let b = ts(&[(0, 1.0)]);
+        assert!(bucket_means(&[], minute).is_empty());
+        assert_eq!(align_bucket_means(&[], &b, minute), (vec![], vec![]));
+        assert_eq!(align_bucket_means(&b, &[], minute), (vec![], vec![]));
+    }
+
+    #[test]
+    fn resample_mean_and_sum() {
+        // A bucket's mean is its values summed left to right over their
+        // count: 0.1 + 0.2 + 0.3 rounds differently from 0.3 + 0.2 + 0.1.
+        let a = ts(&[(0, 0.1), (10, 0.2), (20, 0.3), (60, 5.0)]);
+        assert_eq!(
+            bucket_means(&a, SimDuration::from_secs(60)),
+            vec![
+                (SimTime::ZERO, (0.1 + 0.2 + 0.3) / 3.0),
+                (SimTime::from_secs(60), 5.0)
+            ]
+        );
+        assert_ne!((0.1 + 0.2 + 0.3) / 3.0, (0.3 + 0.2 + 0.1) / 3.0);
     }
 }
